@@ -417,7 +417,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
     measured, tol = _check_orthonormality(spec)
     record("mode-function-normalisation", measured, tol,
-           "package quadrature vs independent Simpson integral")
+           "closed form vs independent Simpson integral")
 
     if spec.side_modes == 0:
         record("jsa-jsi-grid", _jsa_jsi_grid_deviation(spec), 1e-12,

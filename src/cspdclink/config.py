@@ -9,6 +9,7 @@ output artifacts embed so runs stay self-describing.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .cavity import C_VACUUM, CavityParams, find_main_cluster
@@ -78,9 +79,12 @@ class RunConfig:
 
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{section}.{key}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: not a finite number: {raw!r}")
+    return value
 
 
 def _parse_int(section: str, key: str, raw: str) -> int:
@@ -184,6 +188,14 @@ def load_config(path: str) -> RunConfig:
     side_modes = _parse_int("source", "modes_per_side", src["modes_per_side"])
     if side_modes < 0:
         raise ConfigError(f"source.modes_per_side: must be non-negative, got {side_modes}")
+    if sig.fsr != idl.fsr:
+        # beyond the cluster half-width the modes belong to neighbouring clusters
+        half_width = math.floor(idl.fsr / (2.0 * abs(sig.fsr - idl.fsr)))
+        if side_modes > half_width:
+            raise ConfigError(
+                f"source.modes_per_side: {side_modes} exceeds the main-cluster "
+                f"half-width floor(FSR_I / (2 |FSR_S - FSR_I|)) = {half_width}"
+            )
 
     if ("k_signal" in src) != ("k_idler" in src):
         raise ConfigError("source: k_signal and k_idler must be given together")

@@ -269,9 +269,26 @@ def test_quadrature_failure_exit_names_the_mode(hf_config, tmp_path, capsys,
     import cspdclink.spectral as spectral
 
     monkeypatch.setattr(
-        spectral, "_sqrt_lorentzian_pair_integral", lambda *a: (1.0, 1.0)
+        spectral, "_norm_integral", lambda delta, *widths: delta * np.nan
     )
     code = main(["modes", "--config", hf_config, "--out", str(tmp_path), "--quiet"])
     assert code == EXIT_NUMERIC_ERROR
     err = capsys.readouterr().err
-    assert "k=-50" in err and "relative error" in err
+    assert "k=-50" in err and "not a finite positive number" in err
+
+
+@pytest.mark.parametrize("mutation,field", [
+    (("mu0_by_length = 0.010 0.054 0.075; 0.010 0.044 0.075; 0.010 0.038 0.075",
+      "mu0 = nan"), "link.mu0"),
+    (("modes_per_side = 50", "modes_per_side = 2000"), "source.modes_per_side"),
+])
+def test_out_of_domain_config_exits_before_any_artifact(tmp_path, capsys,
+                                                          mutation, field):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(HF_TEXT.replace(*mutation))
+    out = tmp_path / "out"
+    for command in ("modes", "table"):
+        code = main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert code == EXIT_CONFIG_ERROR
+        assert field in capsys.readouterr().err
+    assert not out.exists()

@@ -72,11 +72,32 @@ def test_fidelity_targets_alone_are_sufficient(tmp_path):
     (("modes_per_side = 50", "modes_per_side = -2"), "source.modes_per_side"),
     (("mu0 = 0.010", "mu0 = 0.010\nfidelity_targets = 1.5"), "fidelity targets"),
     (("mu0 = 0.010", "mu0 = 0.010\nbogus_key = 1"), "link.bogus_key"),
+    (("mu0 = 0.010", "mu0 = nan"), "link.mu0"),
+    (("mu0 = 0.010", "mu0 = 0.010, inf"), "link.mu0"),
+    (("finesse_signal = 61.0", "finesse_signal = inf"), "source.finesse_signal"),
 ])
 def test_field_level_errors(tmp_path, mutation, field):
     old, new = mutation
     with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
         load_config(write(tmp_path, BASE.replace(old, new)))
+
+
+def test_modes_per_side_bounded_by_cluster_half_width(tmp_path):
+    # floor(FSR_I / (2 |FSR_S - FSR_I|)) = floor(121.189 / 0.138) = 878
+    assert load_config(write(tmp_path, BASE.replace(
+        "modes_per_side = 50", "modes_per_side = 878"))).source.side_modes == 878
+    # rejected from the config value alone, before any per-mode array exists
+    for side_modes in (879, 10**15):
+        with pytest.raises(ConfigError, match=r"source\.modes_per_side.*878"):
+            load_config(write(tmp_path, BASE.replace(
+                "modes_per_side = 50", f"modes_per_side = {side_modes}")))
+    # equal FSRs: every order lies in one cluster, so no bound applies
+    equal = BASE.replace("fsr_idler_mhz = 121.189", "fsr_idler_mhz = 121.120") \
+                .replace("pump_wavelength_nm = 435.5359", "pump_frequency_mhz = 2422.4") \
+                .replace("signal_seed_wavelength_nm = 606.0",
+                         "k_signal = 10\nk_idler = 10") \
+                .replace("modes_per_side = 50", "modes_per_side = 5000")
+    assert load_config(write(tmp_path, equal)).source.side_modes == 5000
 
 
 def test_pump_specification_is_exclusive(tmp_path):

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cspdclink.cavity import airy_normalized
+from cspdclink.cavity import CavityParams, airy_normalized
 from cspdclink.spectral import (
     ModeTable,
     QuadratureError,
+    SourceSpec,
     cluster_detuning,
     jsa_approx,
     jsi_approx,
@@ -19,11 +22,18 @@ from cspdclink.spectral import (
     xi,
 )
 from conftest import (
+    HF_FINESSE,
+    LF_FINESSE,
     adjacent_overlap_bound,
     make_degenerate_source,
+    make_source,
+    mpmath_mode_norm,
     normalized_mode_overlap,
     trapezoid_mode_norm,
 )
+
+# main-cluster half-width floor(FSR_I / (2 |FSR_S - FSR_I|)) of the design FSRs
+CLUSTER_HALF_WIDTH = 878
 
 
 def test_cluster_detuning_is_linear_in_k(hf_spec):
@@ -110,6 +120,48 @@ def test_normalization_against_independent_trapezoid(hf_spec):
         assert c_s**2 == pytest.approx(independent, rel=2e-6)
 
 
+@pytest.mark.parametrize("k", [0, 25, -50, 199, -400, 878, -878])
+def test_normalization_matches_mpmath_across_the_cluster(k):
+    spec = make_source(*HF_FINESSE, side_modes=CLUSTER_HALF_WIDTH)
+    c_s, c_i = normalization_constants(spec, k)
+    exact = mpmath_mode_norm(float(cluster_detuning(spec, k)),
+                             spec.sig.fwhm, spec.idl.fwhm)
+    assert c_s == c_i
+    assert c_s**2 == pytest.approx(exact, rel=1e-12)
+
+
+@given(st.floats(min_value=-60.0, max_value=60.0),
+       st.floats(min_value=0.2, max_value=5.0))
+@settings(max_examples=25, deadline=None)
+def test_normalization_matches_mpmath_hypothesis(detuning_widths, width_ratio):
+    # one mode detuned by detuning_widths * max(g_S, g_I), g_S = width_ratio * g_I
+    fsr, g_i = 2e9, 2e6
+    g_s = width_ratio * g_i
+    delta = detuning_widths * max(g_s, g_i)
+    spec = SourceSpec(
+        nu_p0=20 * fsr - delta,
+        sig=CavityParams(fsr=fsr, finesse=fsr / g_s),
+        idl=CavityParams(fsr=fsr, finesse=fsr / g_i),
+        k_s=10, k_i=10, side_modes=0,
+    )
+    c_s, c_i = normalization_constants(spec, 0)
+    exact = mpmath_mode_norm(float(cluster_detuning(spec, 0)),
+                             spec.sig.fwhm, spec.idl.fwhm)
+    assert c_s == c_i
+    assert c_s**2 == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("finesse", [HF_FINESSE, LF_FINESSE])
+def test_mode_table_covers_the_whole_cluster(finesse):
+    table = mode_table(make_source(*finesse, side_modes=CLUSTER_HALF_WIDTH))
+    assert table.k.size == 2 * CLUSTER_HALF_WIDTH + 1
+    for column in (table.c_s, table.c_i, table.ratio):
+        assert np.all(np.isfinite(column)) and np.all(column > 0.0)
+    product = table.c_s * table.c_i
+    order = np.argsort(np.abs(table.delta), kind="stable")
+    assert np.all(np.diff(product[order]) <= 0.0)
+
+
 def test_normalization_envelope_peaks_at_center(hf_modes):
     center = hf_modes.center_index
     assert np.all(hf_modes.c_s[center] >= hf_modes.c_s)
@@ -144,12 +196,12 @@ def test_quadrature_failure_carries_estimate(hf_spec, monkeypatch):
     import cspdclink.spectral as spectral
 
     monkeypatch.setattr(
-        spectral, "_sqrt_lorentzian_pair_integral", lambda *a: (1.0, 1.0)
+        spectral, "_norm_integral", lambda delta, *widths: delta * np.nan
     )
     with pytest.raises(QuadratureError) as err:
         spectral.normalization_constants(hf_spec, 3)
     assert err.value.mode == 3
-    assert err.value.achieved == pytest.approx(1.0)
+    assert math.isnan(err.value.value)
 
 
 def test_xi_peak_and_half_max(hf_spec):
