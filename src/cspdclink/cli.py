@@ -211,7 +211,10 @@ def cmd_table(cfg: RunConfig, args) -> int:
         path = out / "table.csv"
         _write_csv(path, echo, header, formatted)
         full_path = out / "table_full.csv"
-        _write_csv(full_path, echo, header, full)
+        full_header = [
+            "heralding_prob" if name == "heralding_prob_pct" else name for name in header
+        ]
+        _write_csv(full_path, echo, full_header, full)
         written = f"{path} and {full_path}"
     else:
         path = out / "table.json"

@@ -125,6 +125,23 @@ def test_table_matches_reference_layout(hf_config, tmp_path):
             assert row[col["mu_ratio"]] != ""
 
 
+def test_table_full_heralding_prob_is_the_fraction_of_the_json_percent(hf_config, tmp_path):
+    out = tmp_path / "t"
+    for fmt in ("csv", "json"):
+        assert main(["table", "--config", hf_config, "--out", str(out),
+                     "--format", fmt, "--quiet"]) == EXIT_OK
+    _, header, rows = read_csv(out / "table_full.csv")
+    col = {name: i for i, name in enumerate(header)}
+    assert "heralding_prob_pct" not in col
+    json_rows = json.loads((out / "table.json").read_text())["rows"]
+    assert len(rows) == len(json_rows)
+    mm = [(row, js) for row, js in zip(rows, json_rows) if row[col["case"]] == "MM"]
+    assert len(mm) == 9
+    for row, js in mm:
+        assert js["case"] == "MM"
+        assert float(row[col["heralding_prob"]]) * 100.0 == js["heralding_prob_pct"]
+
+
 def test_table_low_finesse_row(lf_config, tmp_path):
     out = tmp_path / "t"
     assert main(["table", "--config", lf_config, "--out", str(out), "--quiet"]) == EXIT_OK

@@ -35,7 +35,7 @@ GOLDEN = {
     "highfinesse/table.json":
         "c445d74b7271dbbef77eaa122f9e63ef5349c354c197668cee44f8f131800095",
     "highfinesse/table_full.csv":
-        "2b06af49d98e6e3ad89daa25906316d20e5ad4bbf272ac39c23efc5c98dd3354",
+        "59b07ddc544dab51ff9af0f23bfeae21c5345d601d932602ec0f76cabc90dd14",
     "lowfinesse/modes.csv":
         "c9c43b780d172045fd0546c8c3dca275e3abc58e35aeb489b2ebccbb9212fe65",
     "lowfinesse/modes.json":
@@ -49,7 +49,7 @@ GOLDEN = {
     "lowfinesse/table.json":
         "a78e3c39d3cdc2772f25348ab1211fe6ea999a6cdd745abded646afe3688cf26",
     "lowfinesse/table_full.csv":
-        "1243b2d4b1c005cc944f62f8d843cfe418e3fa539a1139e41e26358dad8a0600",
+        "0f4c8a4603cabb855e4839e75bf8a684fab3768c6bfaeb19ca86223c44da0d1c",
     "targets/modes.csv":
         "2a779c8b12c0a346d16fb7fae5b3370ba0bd366510597d7b9f45a9785c7e3db9",
     "targets/modes.json":
@@ -67,7 +67,7 @@ GOLDEN = {
     "targets/table.json":
         "b71b89622cc12302c1bc5c230ed709550a887f9b19d57e337da59ac856705722",
     "targets/table_full.csv":
-        "666c8ed8a935e3b988ad3bb0036538463441fae4edf13500555c59cadc22036c",
+        "0b96b9dbcef4fcc054eeb37ae16c597b33b8c8148a177d7a8fc0a3573f70f000",
 }
 
 
