@@ -60,168 +60,128 @@ EXIT_VERIFY_FAILED = 4
 FIDELITY_ROUND_TRIP_TOL = 1e-4
 
 
-def _fmt_full(value) -> str:
-    return repr(float(value))
+def _write_artifact(cfg: RunConfig, args, stem: str, columns, extra_echo=()) -> Path:
+    """Write one artifact and return its path.
 
-
-def _fmt_sig(value, sigfigs: int) -> str:
-    return f"{float(value):.{sigfigs}g}"
-
-
-def _write_csv(path: Path, echo, header, rows) -> None:
-    lines = [f"# {key} = {value}" for key, value in echo]
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_json(path: Path, echo, rows) -> None:
-    payload = {"config": {key: value for key, value in echo}, "rows": rows}
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def _echo_with_tool(cfg: RunConfig):
-    return (("tool", f"cspdclink {__version__}"),) + cfg.echo
-
-
-def _out_dir(cfg: RunConfig, args) -> Path:
+    ``columns`` is an ordered list of ``(name, values)`` pairs of Python
+    scalars; ``None`` is an empty cell.  Only the requested format is built:
+    CSV embeds the resolved configuration as ``# key = value`` lines and
+    renders each cell with ``str`` (for a float, its round-trip ``repr``);
+    JSON embeds it as a ``config`` object beside one object per row.
+    """
     out = Path(args.out) if args.out else Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    fmt = _out_format(cfg, args)
+    echo = (("tool", f"cspdclink {__version__}"),) + cfg.echo + tuple(extra_echo)
+    names = [name for name, _ in columns]
+    if fmt == "csv":
+        cells = [["" if v is None else str(v) for v in values] for _, values in columns]
+        lines = [f"# {key} = {value}" for key, value in echo]
+        lines.append(",".join(names))
+        lines.extend(map(",".join, zip(*cells)))
+        text = "\n".join(lines) + "\n"
+    else:
+        rows = [dict(zip(names, row)) for row in zip(*(values for _, values in columns))]
+        text = json.dumps({"config": dict(echo), "rows": rows}, indent=2) + "\n"
+    path = out / f"{stem}.{fmt}"
+    path.write_text(text, encoding="utf-8")
+    return path
 
 
 def _out_format(cfg: RunConfig, args) -> str:
     return args.format if args.format else cfg.out_format
 
 
-def _solved_scenarios(cfg: RunConfig, index: int):
-    """(mu0, origin) pairs for one link length: configured values, then
-    solver-filled fidelity targets (round-trip checked)."""
-    length = cfg.lengths_km[index]
-    scenarios = [(mu0, "configured") for mu0 in cfg.mu0_by_length[index]]
-    for target in cfg.fidelity_targets_by_length[index]:
-        mu0 = solve_mu0_for_fidelity(
-            target, length, cfg.eta_det, cfg.alpha_att_db_per_km
-        )
-        achieved = fidelity_single(
-            mu0, attenuation(length, cfg.alpha_att_db_per_km), cfg.eta_det
-        )
-        if abs(achieved - target) > FIDELITY_ROUND_TRIP_TOL:
-            raise RuntimeError(
-                f"solver round trip failed at L={length} km: target {target}, "
-                f"achieved {achieved}"
+def _scenarios(cfg: RunConfig):
+    """(length, mu0, fidelity target, achieved fidelity) for every link
+    scenario in artifact order: per length the configured mu0 values (target
+    and achieved ``None``), then one solved mu0 per fidelity target, each
+    checked by a fidelity round trip."""
+    for length, configured, targets in zip(
+        cfg.lengths_km, cfg.mu0_by_length, cfg.fidelity_targets_by_length
+    ):
+        for mu0 in configured:
+            yield length, mu0, None, None
+        eta_att = attenuation(length, cfg.alpha_att_db_per_km)
+        for target in targets:
+            mu0 = solve_mu0_for_fidelity(
+                target, length, cfg.eta_det, cfg.alpha_att_db_per_km
             )
-        scenarios.append((mu0, f"fidelity_target={target!r}"))
-    return scenarios
+            achieved = fidelity_single(mu0, eta_att, cfg.eta_det)
+            if abs(achieved - target) > FIDELITY_ROUND_TRIP_TOL:
+                raise RuntimeError(
+                    f"solver round trip failed at L={length} km: target {target}, "
+                    f"achieved {achieved}"
+                )
+            yield length, mu0, target, achieved
 
 
 def cmd_modes(cfg: RunConfig, args) -> int:
-    spec = cfg.source
-    table = mode_table(spec)
-    mu0_values = cfg.mu0_values
-    mu_columns = [
-        np.asarray(mean_photon_number(mu0, table.ratio)) for mu0 in mu0_values
+    table = mode_table(cfg.source)
+    columns = [
+        ("k", table.k.tolist()),
+        ("delta_hz", table.delta.tolist()),
+        ("c_s", table.c_s.tolist()),
+        ("c_i", table.c_i.tolist()),
+        ("ratio", table.ratio.tolist()),
+    ] + [
+        (f"mu_k_at_mu0_{mu0!r}", np.asarray(mean_photon_number(mu0, table.ratio)).tolist())
+        for mu0 in cfg.mu0_values
     ]
-
-    header = ["k", "delta_hz", "c_s", "c_i", "ratio"] + [
-        f"mu_k_at_mu0_{_fmt_full(mu0)}" for mu0 in mu0_values
-    ]
-    rows = []
-    json_rows = []
-    for i, k in enumerate(table.k):
-        row = [
-            str(int(k)),
-            _fmt_full(table.delta[i]),
-            _fmt_full(table.c_s[i]),
-            _fmt_full(table.c_i[i]),
-            _fmt_full(table.ratio[i]),
-        ] + [_fmt_full(col[i]) for col in mu_columns]
-        rows.append(row)
-        json_rows.append(dict(zip(header, [int(k)] + [float(x) for x in row[1:]])))
-
-    out = _out_dir(cfg, args)
-    fmt = _out_format(cfg, args)
-    path = out / f"modes.{fmt}"
-    if fmt == "csv":
-        _write_csv(path, _echo_with_tool(cfg), header, rows)
-    else:
-        _write_json(path, _echo_with_tool(cfg), json_rows)
+    path = _write_artifact(cfg, args, "modes", columns)
     if not args.quiet:
         print(f"wrote {path} ({table.k.size} modes, envelope max at k={table.envelope_argmax()})")
     return EXIT_OK
 
 
+_TABLE_NAMES = (
+    "l_el_km", "mu0", "mu0_origin", "case",
+    "mean_photon_number", "heralding_prob", "fidelity", "mu_ratio", "p_ratio",
+)
+
+
 def cmd_table(cfg: RunConfig, args) -> int:
-    spec = cfg.source
-    table = mode_table(spec)
-    sig = cfg.table_sigfigs
-
-    header = [
-        "l_el_km", "mu0", "mu0_origin", "case",
-        "mean_photon_number", "heralding_prob_pct", "fidelity",
-        "mu_ratio", "p_ratio",
+    table = mode_table(cfg.source)
+    rows = []
+    for length, mu0, target, _ in _scenarios(cfg):
+        origin = "configured" if target is None else f"fidelity_target={target!r}"
+        params = LinkParams(
+            l_el_km=length, eta_det=cfg.eta_det, mu0=mu0,
+            alpha_att_db_per_km=cfg.alpha_att_db_per_km,
+        )
+        report = evaluate_link(table, params)
+        ratios = improvement_ratios(report) if mu0 > 0.0 else (None, None)
+        rows.append((
+            length, mu0, origin, "SM", mu0,
+            heralding_probability_single(mu0, params.eta_att, cfg.eta_det),
+            fidelity_single(mu0, params.eta_att, cfg.eta_det), None, None,
+        ))
+        rows.append((
+            length, mu0, origin, "MM",
+            report.mu_multi, report.p_multi, report.f_min, *ratios,
+        ))
+    # table_full.csv holds the heralding probability as a fraction;
+    # table.csv and table.json give it in percent
+    full = list(zip(_TABLE_NAMES, map(list, zip(*rows))))
+    pct = [
+        ("heralding_prob_pct", [100.0 * p for p in values])
+        if name == "heralding_prob" else (name, values)
+        for name, values in full
     ]
-    formatted = []
-    full = []
-    json_rows = []
-    for i, length in enumerate(cfg.lengths_km):
-        for mu0, origin in _solved_scenarios(cfg, i):
-            params = LinkParams(
-                l_el_km=length, eta_det=cfg.eta_det, mu0=mu0,
-                alpha_att_db_per_km=cfg.alpha_att_db_per_km,
-            )
-            report = evaluate_link(table, params)
-            p_sm = heralding_probability_single(mu0, params.eta_att, cfg.eta_det)
-            f_sm = fidelity_single(mu0, params.eta_att, cfg.eta_det)
-            mu_ratio, p_ratio = (math.nan, math.nan)
-            if mu0 > 0.0:
-                mu_ratio, p_ratio = improvement_ratios(report)
-
-            for case, mean, prob, fid, ratios in (
-                ("SM", mu0, p_sm, f_sm, ("", "")),
-                ("MM", report.mu_multi, report.p_multi, report.f_min,
-                 (mu_ratio, p_ratio) if mu0 > 0.0 else ("", "")),
-            ):
-                base = [_fmt_full(length), _fmt_full(mu0), origin, case]
-                formatted.append(base + [
-                    _fmt_sig(mean, sig),
-                    _fmt_sig(100.0 * prob, sig),
-                    _fmt_sig(fid, sig + 1),
-                    _fmt_sig(ratios[0], sig) if ratios[0] != "" else "",
-                    _fmt_sig(ratios[1], sig) if ratios[1] != "" else "",
-                ])
-                full.append(base + [
-                    _fmt_full(mean), _fmt_full(prob), _fmt_full(fid),
-                    _fmt_full(ratios[0]) if ratios[0] != "" else "",
-                    _fmt_full(ratios[1]) if ratios[1] != "" else "",
-                ])
-                json_rows.append({
-                    "l_el_km": length, "mu0": mu0, "mu0_origin": origin,
-                    "case": case, "mean_photon_number": float(mean),
-                    "heralding_prob_pct": float(100.0 * prob),
-                    "fidelity": float(fid),
-                    "mu_ratio": float(ratios[0]) if ratios[0] != "" else None,
-                    "p_ratio": float(ratios[1]) if ratios[1] != "" else None,
-                })
-
-    out = _out_dir(cfg, args)
-    fmt = _out_format(cfg, args)
-    echo = _echo_with_tool(cfg)
-    if fmt == "csv":
-        path = out / "table.csv"
-        _write_csv(path, echo, header, formatted)
-        full_path = out / "table_full.csv"
-        full_header = [
-            "heralding_prob" if name == "heralding_prob_pct" else name for name in header
+    if _out_format(cfg, args) == "csv":
+        # table.csv: the figures to table_sigfigs, fidelity to one digit more
+        sig = cfg.table_sigfigs
+        rounded = pct[:4] + [
+            (name, [None if v is None else f"{v:.{sig + (name == 'fidelity')}g}"
+                    for v in values])
+            for name, values in pct[4:]
         ]
-        _write_csv(full_path, echo, full_header, full)
-        written = f"{path} and {full_path}"
+        paths = [_write_artifact(cfg, args, "table", rounded),
+                 _write_artifact(cfg, args, "table_full", full)]
     else:
-        path = out / "table.json"
-        _write_json(path, echo, json_rows)
-        written = str(path)
+        paths = [_write_artifact(cfg, args, "table", pct)]
     if not args.quiet:
-        print(f"wrote {written} ({len(json_rows)} rows)")
+        print(f"wrote {' and '.join(map(str, paths))} ({len(rows)} rows)")
     return EXIT_OK
 
 
@@ -243,32 +203,17 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     window = _parse_window(args.window)
     n_points = args.points if args.points else cfg.spectrum_points
     nu, airy_product, xi_center = signal_spectrum_samples(spec, window, n_points)
-
-    header = ["nu_hz", "airy_product", "xi_center"]
-    columns = [nu, airy_product, xi_center]
+    columns = [
+        ("nu_hz", nu.tolist()),
+        ("airy_product", airy_product.tolist()),
+        ("xi_center", xi_center.tolist()),
+    ]
     if args.jsi_slice:
-        header.append("jsi_approx")
-        columns.append(np.asarray(jsi_approx(spec, nu, spec.nu_p0 - nu)))
-
-    rows = [
-        [_fmt_full(col[i]) for col in columns] for i in range(nu.size)
-    ]
-    json_rows = [
-        {name: float(col[i]) for name, col in zip(header, columns)}
-        for i in range(nu.size)
-    ]
-
-    out = _out_dir(cfg, args)
-    fmt = _out_format(cfg, args)
-    path = out / f"spectrum.{fmt}"
-    echo = _echo_with_tool(cfg) + (
+        columns.append(("jsi_approx", np.asarray(jsi_approx(spec, nu, spec.nu_p0 - nu)).tolist()))
+    path = _write_artifact(cfg, args, "spectrum", columns, (
         ("window_modes", f"{window[0]}:{window[1]}"),
         ("n_points", str(n_points)),
-    )
-    if fmt == "csv":
-        _write_csv(path, echo, header, rows)
-    else:
-        _write_json(path, echo, json_rows)
+    ))
     if not args.quiet:
         print(f"wrote {path} ({nu.size} samples over modes {window[0]}..{window[1]})")
     return EXIT_OK
@@ -277,35 +222,15 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
 def cmd_solve(cfg: RunConfig, args) -> int:
     if all(not group for group in cfg.fidelity_targets_by_length):
         raise ConfigError("link.fidelity_targets: required for the solve command")
-
-    header = ["l_el_km", "fidelity_target", "mu0", "fidelity_achieved"]
     rows = []
-    json_rows = []
-    for i, length in enumerate(cfg.lengths_km):
-        for target in cfg.fidelity_targets_by_length[i]:
-            mu0 = solve_mu0_for_fidelity(
-                target, length, cfg.eta_det, cfg.alpha_att_db_per_km
-            )
-            achieved = fidelity_single(
-                mu0, attenuation(length, cfg.alpha_att_db_per_km), cfg.eta_det
-            )
-            rows.append([
-                _fmt_full(length), _fmt_full(target), _fmt_full(mu0), _fmt_full(achieved),
-            ])
-            json_rows.append({
-                "l_el_km": length, "fidelity_target": target,
-                "mu0": mu0, "fidelity_achieved": achieved,
-            })
-            if not args.quiet:
-                print(f"L={length:g} km  F_target={target:g}  ->  mu0={mu0:.6f}")
-
-    out = _out_dir(cfg, args)
-    fmt = _out_format(cfg, args)
-    path = out / f"solve.{fmt}"
-    if fmt == "csv":
-        _write_csv(path, _echo_with_tool(cfg), header, rows)
-    else:
-        _write_json(path, _echo_with_tool(cfg), json_rows)
+    for length, mu0, target, achieved in _scenarios(cfg):
+        if target is None:
+            continue
+        rows.append((length, target, mu0, achieved))
+        if not args.quiet:
+            print(f"L={length:g} km  F_target={target:g}  ->  mu0={mu0:.6f}")
+    names = ("l_el_km", "fidelity_target", "mu0", "fidelity_achieved")
+    path = _write_artifact(cfg, args, "solve", list(zip(names, map(list, zip(*rows)))))
     if not args.quiet:
         print(f"wrote {path}")
     return EXIT_OK
