@@ -177,8 +177,8 @@ def test_accept_6_quadrature_oracle():
         worst = max(worst, abs(c_s**2 / (math.pi * gamma / 2.0) - 1.0))
     check(
         "quadrature-closed-form-oracle",
-        worst <= 1e-6,
-        f"max relative deviation from pi*gamma/2 = {worst:.3e} (tol 1e-6)",
+        worst <= 1e-13,
+        f"max relative deviation from pi*gamma/2 = {worst:.3e} (tol 1e-13)",
     )
 
 
@@ -245,8 +245,8 @@ def test_accept_8b_mode_function_normalisation():
         for k in (-3, 0, 2):
             c_s, _ = normalization_constants(spec, k)
             worst = max(worst, abs(trapezoid_mode_norm(spec, k) / c_s**2 - 1.0))
-    check("mode-function-normalisation", worst <= 2e-6,
-          f"max relative deviation {worst:.3e} (tol 2e-6)")
+    check("mode-function-normalisation", worst <= 1e-9,
+          f"max relative deviation {worst:.3e} (tol 1e-9)")
 
 
 def test_accept_8c_near_orthogonality():

@@ -212,6 +212,19 @@ def test_verify_passes_on_design_configs(hf_config, lf_config, tmp_path, capsys)
     assert main(["verify", "--config", lf_config, "--out", str(tmp_path)]) == EXIT_OK
 
 
+def test_verify_passes_at_high_finesse_across_the_cluster(tmp_path, capsys):
+    # the normalisation check's independent route must resolve far-detuned
+    # modes whose two peaks sit many linewidths apart
+    text = HF_TEXT.replace("finesse_signal = 61.0", "finesse_signal = 1000.0") \
+                  .replace("finesse_idler = 83.0", "finesse_idler = 1000.0") \
+                  .replace("modes_per_side = 50", "modes_per_side = 878")
+    cfg = tmp_path / "hf1000.ini"
+    cfg.write_text(text)
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "[PASS] mode-function-normalisation" in out
+
+
 def test_verify_flags_low_finesse(hf_config, tmp_path, capsys):
     text = HF_TEXT.replace("finesse_signal = 61.0", "finesse_signal = 2.0")
     cfg = tmp_path / "low.ini"
@@ -247,6 +260,21 @@ def test_solve_command(hf_config, tmp_path, capsys):
     solved = {float(row[0]): float(row[2]) for row in rows}
     assert solved[25.0] == pytest.approx(0.054, abs=1e-3)
     assert solved[100.0] == pytest.approx(0.038, abs=1e-3)
+
+
+@pytest.mark.parametrize("command", ["solve", "table"])
+def test_failed_fidelity_round_trip_is_a_numeric_error(tmp_path, capsys, monkeypatch,
+                                                       command):
+    import cspdclink.cli as cli
+
+    monkeypatch.setattr(cli, "solve_mu0_for_fidelity", lambda target, *args: 0.5)
+    cfg = tmp_path / "targets.ini"
+    cfg.write_text(HF_TEXT.replace("[link]\n", "[link]\nfidelity_targets = 0.9\n"))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert code == EXIT_NUMERIC_ERROR
+    assert "round trip failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_without_targets_is_a_config_error(hf_config, capsys):

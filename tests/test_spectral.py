@@ -109,15 +109,15 @@ def test_normalization_degenerate_closed_form(gamma_mhz):
     gamma = gamma_mhz * 1e6
     c_s, c_i = normalization_constants(make_degenerate_source(gamma), 0)
     exact = math.sqrt(math.pi * gamma / 2.0)
-    assert c_s == pytest.approx(exact, rel=1e-6)
-    assert c_i == pytest.approx(exact, rel=1e-6)
+    assert c_s == pytest.approx(exact, rel=1e-13)
+    assert c_i == pytest.approx(exact, rel=1e-13)
 
 
 def test_normalization_against_independent_trapezoid(hf_spec):
     for k in (-50, -7, 0, 31):
         c_s, _ = normalization_constants(hf_spec, k)
         independent = trapezoid_mode_norm(hf_spec, k)
-        assert c_s**2 == pytest.approx(independent, rel=2e-6)
+        assert c_s**2 == pytest.approx(independent, rel=1e-9)
 
 
 @pytest.mark.parametrize("k", [0, 25, -50, 199, -400, 878, -878])
