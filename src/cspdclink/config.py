@@ -45,7 +45,7 @@ _KNOWN_KEYS = {
         "fidelity_targets_by_length",
     },
     "output": {"directory", "format", "table_sigfigs"},
-    "spectrum": {"points", "pump_sigma_mhz"},
+    "spectrum": {"points"},
 }
 
 
@@ -63,7 +63,6 @@ class RunConfig:
     out_format: str
     table_sigfigs: int
     spectrum_points: int
-    pump_sigma_hz: float | None
     echo: tuple[tuple[str, str], ...]
 
     @property
@@ -322,12 +321,6 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(
                 f"spectrum.points: need at least 2 samples, got {spectrum_points}"
             )
-    pump_sigma_hz = None
-    if "pump_sigma_mhz" in spc:
-        pump_sigma_hz = 1e6 * _require_positive(
-            "spectrum", "pump_sigma_mhz",
-            _parse_float("spectrum", "pump_sigma_mhz", spc["pump_sigma_mhz"]),
-        )
 
     echo = (
         ("pump_frequency_hz", repr(nu_p0)),
@@ -363,6 +356,5 @@ def load_config(path: str) -> RunConfig:
         out_format=out_format,
         table_sigfigs=table_sigfigs,
         spectrum_points=spectrum_points,
-        pump_sigma_hz=pump_sigma_hz,
         echo=echo,
     )

@@ -19,11 +19,6 @@ from scipy.optimize import bisect
 from . import tmsv
 from .spectral import ModeTable
 
-# Idealised efficiencies fixed at unity (memory absorption, spectral
-# demultiplexing); kept named so a future relaxation stays localised.
-MEMORY_ABSORPTION_EFFICIENCY = 1.0
-DEMULTIPLEXING_EFFICIENCY = 1.0
-
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
 
 

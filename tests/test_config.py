@@ -1,5 +1,6 @@
 import pytest
 
+from cspdclink.cli import EXIT_CONFIG_ERROR, main
 from cspdclink.config import ConfigError, load_config
 
 BASE = """\
@@ -136,16 +137,18 @@ def test_missing_file():
         load_config("/nonexistent/run.ini")
 
 
-def test_output_and_spectrum_sections(tmp_path):
+def test_output_and_spectrum_sections(tmp_path, capsys):
     text = BASE + (
         "\n[output]\ndirectory = artifacts\nformat = json\ntable_sigfigs = 4\n"
-        "\n[spectrum]\npoints = 501\npump_sigma_mhz = 2.5\n"
+        "\n[spectrum]\npoints = 501\n"
     )
     cfg = load_config(write(tmp_path, text))
     assert cfg.out_dir == "artifacts"
     assert cfg.out_format == "json"
     assert cfg.table_sigfigs == 4
     assert cfg.spectrum_points == 501
-    assert cfg.pump_sigma_hz == pytest.approx(2.5e6)
+    unknown = write(tmp_path, text + "pump_sigma_mhz = 2.5\n")
+    assert main(["modes", "--config", unknown, "--out", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    assert "spectrum.pump_sigma_mhz: unknown key" in capsys.readouterr().err
     with pytest.raises(ConfigError, match="output.format"):
         load_config(write(tmp_path, text.replace("format = json", "format = xml")))
