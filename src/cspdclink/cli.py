@@ -161,7 +161,7 @@ def cmd_table(cfg: RunConfig, args) -> int:
         ))
     # table_full.csv holds the heralding probability as a fraction;
     # table.csv and table.json give it in percent
-    full = list(zip(_TABLE_NAMES, map(list, zip(*rows))))
+    full = list(zip(_TABLE_NAMES, zip(*rows)))
     pct = [
         ("heralding_prob_pct", [100.0 * p for p in values])
         if name == "heralding_prob" else (name, values)
@@ -229,7 +229,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         if not args.quiet:
             print(f"L={length:g} km  F_target={target:g}  ->  mu0={mu0:.6f}")
     names = ("l_el_km", "fidelity_target", "mu0", "fidelity_achieved")
-    path = _write_artifact(cfg, args, "solve", list(zip(names, map(list, zip(*rows)))))
+    path = _write_artifact(cfg, args, "solve", list(zip(names, zip(*rows))))
     if not args.quiet:
         print(f"wrote {path}")
     return EXIT_OK
@@ -269,7 +269,8 @@ def _trapezoid_mode_norm(spec: SourceSpec, k: int) -> float:
     g_max = max(spec.sig.fwhm, spec.idl.fwhm)
     center = float(spec.signal_center(k)) - delta / 2.0
     half = 2000.0 * g_max + abs(delta)
-    nu = np.linspace(center - half, center + half, 200_001)
+    n = 200_001
+    nu = np.linspace(center - half, center + half, n)
     values = np.abs(mode_amplitude_signal(spec, k, nu)) ** 2
     ratio = abs(delta) / (2.0 * half)
     atanh_ratio = math.atanh(ratio) / ratio if ratio > 0.0 else 1.0
