@@ -37,12 +37,10 @@ from .spectral import (
     mode_amplitude_signal,
     mode_table,
     normalization_constants,
-    pump_envelope,
     signal_spectrum_samples,
     xi,
 )
 from .tmsv import (
-    fill_mean_photon_numbers,
     mean_photon_number,
     squeeze_ratio,
     thermal_distribution,
@@ -67,7 +65,6 @@ __all__ = [
     "enhancement_factor",
     "evaluate_link",
     "fidelity_single",
-    "fill_mean_photon_numbers",
     "find_main_cluster",
     "finesse_from_mirrors",
     "heralding_probability_single",
@@ -80,7 +77,6 @@ __all__ = [
     "mode_amplitude_signal",
     "mode_table",
     "normalization_constants",
-    "pump_envelope",
     "resonance_indices",
     "signal_spectrum_samples",
     "solve_mu0_for_fidelity",

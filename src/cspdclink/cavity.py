@@ -89,8 +89,8 @@ class CavityParams:
     finesse: float
 
     def __post_init__(self) -> None:
-        if self.fsr <= 0.0:
-            raise ValueError(f"fsr={self.fsr}: must be positive")
+        if not 0.0 < self.fsr < math.inf:
+            raise ValueError(f"fsr={self.fsr}: must be positive and finite")
         if self.finesse <= 0.0:
             raise ValueError(f"finesse={self.finesse}: must be positive")
         if not self.lorentzian_valid:
@@ -167,33 +167,48 @@ def resonance_indices(
 
 
 def find_main_cluster(
-    nu_s_seed: float,
-    nu_p0: float,
-    sig: CavityParams,
-    idl: CavityParams,
-    search_halfwidth: int | None = None,
+    nu_s_seed: float, nu_p0: float, sig: CavityParams, idl: CavityParams
 ) -> tuple[int, int]:
     """Locate the best-matched joint resonance near an approximate seed.
 
-    Scans signal orders across one full cluster period around the seed and
-    returns the (K_S, K_I) pair minimising |K_S FSR_S + K_I FSR_I - nu_p0|.
-    Distinct signal/idler FSRs make the residual walk by FSR_S - FSR_I per
-    signal order, so the scan is guaranteed to bracket the cluster centre;
-    the seed only needs to be accurate to a fraction of the cluster spacing.
-    Ties resolve to the lower K_S.
+    Searches the signal orders within one full cluster period around the seed
+    for the (K_S, K_I) pair minimising |K_S FSR_S + K_I FSR_I - nu_p0|; ties
+    resolve to the lower K_S.  With K_I the nearest idler order, that residual
+    is the remainder of nu_p0 - K_S (FSR_S - FSR_I) centred on zero modulo
+    FSR_I: a triangle wave in K_S whose zeros lie at
+    K_S = (nu_p0 - j FSR_I) / (FSR_S - FSR_I) for integer j.  Its minimum over
+    the window lies beside one of the zeros inside it or just beyond its ends,
+    so only those orders are evaluated, or the whole window where it holds
+    fewer orders than zeros.  The seed only needs to be accurate to a
+    fraction of the cluster spacing.
     """
     base_s, _ = resonance_indices(nu_s_seed, nu_p0, sig, idl)
-    dfsr = abs(sig.fsr - idl.fsr)
-    if search_halfwidth is None:
-        if dfsr == 0.0:
-            # equal FSRs: every signal order is an equally good cluster centre
-            return resonance_indices(nu_s_seed, nu_p0, sig, idl)
-        search_halfwidth = math.ceil(0.5 * idl.fsr / dfsr) + 2
-    m_s = np.arange(base_s - search_halfwidth, base_s + search_halfwidth + 1, dtype=float)
-    m_i = np.round((nu_p0 - m_s * sig.fsr) / idl.fsr)
-    residual = np.abs(m_s * sig.fsr + m_i * idl.fsr - nu_p0)
-    best = int(np.argmin(residual))  # first minimum = lower K_S on ties
-    return int(m_s[best]), int(m_i[best])
+    dfsr = sig.fsr - idl.fsr
+    if dfsr == 0.0:
+        # equal FSRs: every signal order is an equally good cluster centre
+        return resonance_indices(nu_s_seed, nu_p0, sig, idl)
+    halfwidth = math.ceil(0.5 * idl.fsr / abs(dfsr)) + 2
+    lo, hi = base_s - halfwidth, base_s + halfwidth
+    # zero j of the triangle wave sits where (nu_p0 - m dfsr) / FSR_I = j;
+    # rounding the ends outward takes in the nearest zero beyond each end
+    u_lo, u_hi = sorted(((nu_p0 - lo * dfsr) / idl.fsr, (nu_p0 - hi * dfsr) / idl.fsr))
+    zeros = range(math.floor(u_lo), math.ceil(u_hi) + 1)
+    if len(zeros) > hi - lo:
+        candidates = set(range(lo, hi + 1))
+    else:
+        candidates = set()
+        for j in zeros:
+            # two orders of slack on each side absorb rounding in the zero
+            zero = math.floor((nu_p0 - j * idl.fsr) / dfsr)
+            candidates.update(m for m in range(zero - 2, zero + 4) if lo <= m <= hi)
+
+    def residual(m_s: int) -> tuple[float, int]:
+        m_i = round((nu_p0 - m_s * sig.fsr) / idl.fsr)
+        return abs(m_s * sig.fsr + m_i * idl.fsr - nu_p0), m_i
+
+    # sorted first, so min keeps the lower K_S on ties
+    best = min(sorted(candidates), key=lambda m: residual(m)[0])
+    return best, residual(best)[1]
 
 
 def airy_lorentzian_sum(nu, cav: CavityParams, m_lo: int, m_hi: int):

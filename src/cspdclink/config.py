@@ -1,16 +1,19 @@
 """Run-configuration parsing.
 
-A run is described by one INI-style file with flat sections and explicit
-units in the key names; everything converts to Hz / km once, here.  The
-resolved configuration also carries a deterministic key/value echo that
-output artifacts embed so runs stay self-describing.
+One INI-style file with flat sections and units in the key names describes a
+run; everything converts to Hz / km once, here.  :data:`SCHEMA` states each
+key's kind and domain once, and one reader checks every key against it.  The
+rules that join keys stay in :func:`load_config`, which also builds the
+deterministic key/value echo that artifacts embed to stay self-describing.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 from .cavity import C_VACUUM, CavityParams, find_main_cluster
 from .link import DEFAULT_ATTENUATION_DB_PER_KM
@@ -21,31 +24,53 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration; the message names the field."""
 
 
-_KNOWN_KEYS = {
+REQUIRED = "required"
+
+
+class Key(NamedTuple):
+    """One config key: ``kind`` is ``float``, ``int``, ``floats`` (a comma- or
+    space-separated list), ``groups`` (``;``-separated float lists, one per
+    link length), ``choice`` or ``text``; ``domain`` is the interval, such as
+    ``(0, 1]``, that every number must lie in, or the words of a choice;
+    ``default`` is the value of an absent key, :data:`REQUIRED`, or ``None``
+    where :func:`load_config` resolves the absence."""
+
+    kind: str
+    domain: Any = None
+    default: Any = None
+
+
+SCHEMA: dict[str, dict[str, Key]] = {
     "source": {
-        "pump_wavelength_nm",
-        "pump_frequency_mhz",
-        "fsr_signal_mhz",
-        "fsr_idler_mhz",
-        "finesse_signal",
-        "finesse_idler",
-        "k_signal",
-        "k_idler",
-        "signal_seed_wavelength_nm",
-        "signal_seed_frequency_mhz",
-        "modes_per_side",
+        "pump_wavelength_nm": Key("float", "(0, inf)"),
+        "pump_frequency_mhz": Key("float", "(0, inf)"),
+        "fsr_signal_mhz": Key("float", "(0, inf)", REQUIRED),
+        "fsr_idler_mhz": Key("float", "(0, inf)", REQUIRED),
+        "finesse_signal": Key("float", "(0, inf)", REQUIRED),
+        "finesse_idler": Key("float", "(0, inf)", REQUIRED),
+        "k_signal": Key("int", "[1, inf)"),
+        "k_idler": Key("int", "[1, inf)"),
+        "signal_seed_wavelength_nm": Key("float", "(0, inf)"),
+        "signal_seed_frequency_mhz": Key("float", "(0, inf)"),
+        "modes_per_side": Key("int", "[0, inf)", REQUIRED),
     },
     "link": {
-        "lengths_km",
-        "attenuation_db_per_km",
-        "detector_efficiency",
-        "mu0",
-        "mu0_by_length",
-        "fidelity_targets",
-        "fidelity_targets_by_length",
+        "lengths_km": Key("floats", "[0, inf)", REQUIRED),
+        "attenuation_db_per_km": Key("float", "[0, inf)", DEFAULT_ATTENUATION_DB_PER_KM),
+        "detector_efficiency": Key("float", "(0, 1]", REQUIRED),
+        "mu0": Key("floats", "[0, inf)", ()),
+        "mu0_by_length": Key("groups", "[0, inf)"),
+        "fidelity_targets": Key("floats", "(0, 1)", ()),
+        "fidelity_targets_by_length": Key("groups", "(0, 1)"),
     },
-    "output": {"directory", "format", "table_sigfigs"},
-    "spectrum": {"points"},
+    "output": {
+        "directory": Key("text", default="out"),
+        "format": Key("choice", ("csv", "json"), "csv"),
+        "table_sigfigs": Key("int", "[1, inf)", 3),
+    },
+    "spectrum": {
+        "points": Key("int", "[2, inf)", 2001),
+    },
 }
 
 
@@ -76,46 +101,101 @@ class RunConfig:
         return tuple(seen)
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
+@functools.cache
+def _interval(domain: str) -> Callable[[float], bool]:
+    """Membership test of an interval written like ``(0, 1]``; nan is in none."""
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    closed_lo, closed_hi = domain[0] == "[", domain[-1] == "]"
+    return lambda x: (lo < x or closed_lo and x == lo) and (x < hi or closed_hi and x == hi)
+
+
+def _number(name: str, kind: str, domain: str, raw: str) -> float:
     try:
-        value = float(raw)
+        value = int(raw) if kind == "int" else float(raw)
     except ValueError:
-        raise ConfigError(f"{section}.{key}: not a number: {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{section}.{key}: not a finite number: {raw!r}")
+        what = "an integer" if kind == "int" else "a number"
+        raise ConfigError(f"{name}: not {what}: {raw!r}") from None
+    if not _interval(domain)(value):
+        raise ConfigError(f"{name}: must lie in {domain}, got {raw}")
     return value
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: not an integer: {raw!r}") from None
-
-
-def _parse_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
-    items = [piece for piece in raw.replace(",", " ").split() if piece]
+def _numbers(name: str, domain: str, raw: str) -> tuple[float, ...]:
+    items = raw.replace(",", " ").split()
     if not items:
-        raise ConfigError(f"{section}.{key}: empty list")
-    return tuple(_parse_float(section, key, piece) for piece in items)
+        raise ConfigError(f"{name}: empty list")
+    return tuple(_number(name, "float", domain, item) for item in items)
 
 
-def _parse_grouped_floats(
-    section: str, key: str, raw: str, n_groups: int
+def _parse(name: str, key: Key, raw: str) -> Any:
+    """Value of one key from its raw text, checked against its domain."""
+    if key.kind == "groups":
+        return tuple(_numbers(name, key.domain, group) for group in raw.split(";"))
+    if key.kind == "floats":
+        return _numbers(name, key.domain, raw)
+    if key.kind == "choice":
+        if raw not in key.domain:
+            raise ConfigError(
+                f"{name}: must be one of {', '.join(key.domain)}, got {raw!r}"
+            )
+        return raw
+    if key.kind == "text":
+        return raw
+    return _number(name, key.kind, key.domain, raw)
+
+
+def _read(parser: configparser.ConfigParser) -> dict[str, Any]:
+    """Checked values of every key present, plus the defaults of absent ones.
+
+    Key names are unique across sections, so the result is keyed by name.
+    """
+    values: dict[str, Any] = {}
+    for section in parser.sections():
+        if section not in SCHEMA:
+            raise ConfigError(f"unknown section [{section}]")
+        for name, raw in parser[section].items():
+            if name not in SCHEMA[section]:
+                raise ConfigError(f"{section}.{name}: unknown key")
+            values[name] = _parse(f"{section}.{name}", SCHEMA[section][name], raw)
+    for section, keys in SCHEMA.items():
+        for name, key in keys.items():
+            if name in values or key.default is None:
+                continue
+            if key.default is REQUIRED:
+                raise ConfigError(f"{section}.{name}: required")
+            values[name] = key.default
+    return values
+
+
+def _frequency_hz(values: dict[str, Any], wavelength_key: str, frequency_key: str) -> float:
+    """Frequency in Hz from whichever of a wavelength (nm) / frequency (MHz)
+    pair is set; ``load_config`` has checked that exactly one is."""
+    if wavelength_key in values:
+        key, metres = wavelength_key, values[wavelength_key] * 1e-9
+        hz = C_VACUUM / metres if metres else math.inf
+    else:
+        key, hz = frequency_key, 1e6 * values[frequency_key]
+    if not 0.0 < hz < math.inf:
+        raise ConfigError(f"source.{key}: gives {hz!r} Hz, outside the float range")
+    return hz
+
+
+def _by_length(
+    values: dict[str, Any], shared_key: str, grouped_key: str
 ) -> tuple[tuple[float, ...], ...]:
-    groups = raw.split(";")
-    if len(groups) != n_groups:
+    """The shared list followed by each length's own group."""
+    n_lengths = len(values["lengths_km"])
+    grouped = values.get(grouped_key, ((),) * n_lengths)
+    if len(grouped) != n_lengths:
         raise ConfigError(
-            f"{section}.{key}: {len(groups)} ';'-separated groups, expected one "
-            f"per configured length ({n_groups})"
+            f"link.{grouped_key}: {len(grouped)} ';'-separated groups, expected one "
+            f"per configured length ({n_lengths})"
         )
-    return tuple(_parse_float_list(section, key, group) for group in groups)
+    return tuple(values[shared_key] + group for group in grouped)
 
 
-def _require_positive(section: str, key: str, value: float) -> float:
-    if value <= 0.0:
-        raise ConfigError(f"{section}.{key}: must be positive, got {value}")
-    return value
+def _groups_text(groups: tuple[tuple[float, ...], ...]) -> str:
+    return "; ".join(" ".join(repr(value) for value in group) for group in groups)
 
 
 def load_config(path: str) -> RunConfig:
@@ -124,69 +204,22 @@ def load_config(path: str) -> RunConfig:
     Raises :class:`ConfigError` naming the offending field on any problem.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file not found or unreadable: {path}")
-
-    for section in parser.sections():
-        if section not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
-                raise ConfigError(f"{section}.{key}: unknown key")
-    for section in ("source", "link"):
-        if section not in parser:
-            raise ConfigError(f"missing required section [{section}]")
-
-    src = parser["source"]
-    lnk = parser["link"]
-    out = parser["output"] if "output" in parser else {}
-    spc = parser["spectrum"] if "spectrum" in parser else {}
+    v = _read(parser)
 
     # --- source ---
-    if ("pump_wavelength_nm" in src) == ("pump_frequency_mhz" in src):
+    if ("pump_wavelength_nm" in v) == ("pump_frequency_mhz" in v):
         raise ConfigError(
             "source: exactly one of pump_wavelength_nm / pump_frequency_mhz is required"
         )
-    if "pump_wavelength_nm" in src:
-        lam = _require_positive(
-            "source", "pump_wavelength_nm",
-            _parse_float("source", "pump_wavelength_nm", src["pump_wavelength_nm"]),
-        )
-        nu_p0 = C_VACUUM / (lam * 1e-9)
-    else:
-        nu_p0 = 1e6 * _require_positive(
-            "source", "pump_frequency_mhz",
-            _parse_float("source", "pump_frequency_mhz", src["pump_frequency_mhz"]),
-        )
-
-    for key in ("fsr_signal_mhz", "fsr_idler_mhz", "finesse_signal", "finesse_idler",
-                "modes_per_side"):
-        if key not in src:
-            raise ConfigError(f"source.{key}: required")
-    sig = CavityParams(
-        fsr=1e6 * _require_positive(
-            "source", "fsr_signal_mhz",
-            _parse_float("source", "fsr_signal_mhz", src["fsr_signal_mhz"]),
-        ),
-        finesse=_require_positive(
-            "source", "finesse_signal",
-            _parse_float("source", "finesse_signal", src["finesse_signal"]),
-        ),
-    )
-    idl = CavityParams(
-        fsr=1e6 * _require_positive(
-            "source", "fsr_idler_mhz",
-            _parse_float("source", "fsr_idler_mhz", src["fsr_idler_mhz"]),
-        ),
-        finesse=_require_positive(
-            "source", "finesse_idler",
-            _parse_float("source", "finesse_idler", src["finesse_idler"]),
-        ),
-    )
-    side_modes = _parse_int("source", "modes_per_side", src["modes_per_side"])
-    if side_modes < 0:
-        raise ConfigError(f"source.modes_per_side: must be non-negative, got {side_modes}")
+    nu_p0 = _frequency_hz(v, "pump_wavelength_nm", "pump_frequency_mhz")
+    side_modes = v["modes_per_side"]
+    try:
+        sig = CavityParams(fsr=1e6 * v["fsr_signal_mhz"], finesse=v["finesse_signal"])
+        idl = CavityParams(fsr=1e6 * v["fsr_idler_mhz"], finesse=v["finesse_idler"])
+    except ValueError as exc:
+        raise ConfigError(f"source: {exc}") from exc
     if sig.fsr != idl.fsr:
         # beyond the cluster half-width the modes belong to neighbouring clusters
         half_width = math.floor(idl.fsr / (2.0 * abs(sig.fsr - idl.fsr)))
@@ -196,131 +229,39 @@ def load_config(path: str) -> RunConfig:
                 f"half-width floor(FSR_I / (2 |FSR_S - FSR_I|)) = {half_width}"
             )
 
-    if ("k_signal" in src) != ("k_idler" in src):
+    if ("k_signal" in v) != ("k_idler" in v):
         raise ConfigError("source: k_signal and k_idler must be given together")
-    if "k_signal" in src:
-        k_s = _parse_int("source", "k_signal", src["k_signal"])
-        k_i = _parse_int("source", "k_idler", src["k_idler"])
-    else:
-        if ("signal_seed_wavelength_nm" in src) == ("signal_seed_frequency_mhz" in src):
+    if "k_signal" not in v:
+        if ("signal_seed_wavelength_nm" in v) == ("signal_seed_frequency_mhz" in v):
             raise ConfigError(
                 "source: without explicit k_signal/k_idler, exactly one of "
                 "signal_seed_wavelength_nm / signal_seed_frequency_mhz is required"
             )
-        if "signal_seed_wavelength_nm" in src:
-            seed_lam = _require_positive(
-                "source", "signal_seed_wavelength_nm",
-                _parse_float(
-                    "source", "signal_seed_wavelength_nm", src["signal_seed_wavelength_nm"]
-                ),
-            )
-            nu_seed = C_VACUUM / (seed_lam * 1e-9)
-        else:
-            nu_seed = 1e6 * _require_positive(
-                "source", "signal_seed_frequency_mhz",
-                _parse_float(
-                    "source", "signal_seed_frequency_mhz", src["signal_seed_frequency_mhz"]
-                ),
-            )
+        nu_seed = _frequency_hz(v, "signal_seed_wavelength_nm", "signal_seed_frequency_mhz")
         if not nu_seed < nu_p0:
-            raise ConfigError(
-                "source: the signal seed must lie below the pump frequency"
-            )
-        k_s, k_i = find_main_cluster(nu_seed, nu_p0, sig, idl)
-
+            raise ConfigError("source: the signal seed must lie below the pump frequency")
     try:
+        if "k_signal" in v:
+            k_s, k_i = v["k_signal"], v["k_idler"]
+        else:
+            k_s, k_i = find_main_cluster(nu_seed, nu_p0, sig, idl)
         source = SourceSpec(
             nu_p0=nu_p0, sig=sig, idl=idl, k_s=k_s, k_i=k_i, side_modes=side_modes
         )
-    except ValueError as exc:
-        raise ConfigError(f"source: {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        # an overflow is a seed-to-FSR ratio beyond the float range
+        field = "source.modes_per_side" if str(exc).startswith("side_modes=") else "source"
+        raise ConfigError(f"{field}: {exc}") from exc
 
     # --- link ---
-    if "lengths_km" not in lnk:
-        raise ConfigError("link.lengths_km: required")
-    lengths = _parse_float_list("link", "lengths_km", lnk["lengths_km"])
-    if any(length < 0.0 for length in lengths):
-        raise ConfigError("link.lengths_km: lengths must be non-negative")
-
-    alpha = DEFAULT_ATTENUATION_DB_PER_KM
-    if "attenuation_db_per_km" in lnk:
-        alpha = _parse_float(
-            "link", "attenuation_db_per_km", lnk["attenuation_db_per_km"]
-        )
-        if alpha < 0.0:
-            raise ConfigError(
-                f"link.attenuation_db_per_km: must be non-negative, got {alpha}"
-            )
-
-    if "detector_efficiency" not in lnk:
-        raise ConfigError("link.detector_efficiency: required")
-    eta_det = _parse_float("link", "detector_efficiency", lnk["detector_efficiency"])
-    if not 0.0 < eta_det <= 1.0:
-        raise ConfigError(
-            f"link.detector_efficiency: must lie in (0, 1], got {eta_det}"
-        )
-
-    shared_mu0: tuple[float, ...] = ()
-    if "mu0" in lnk:
-        shared_mu0 = _parse_float_list("link", "mu0", lnk["mu0"])
-        if any(value < 0.0 for value in shared_mu0):
-            raise ConfigError("link.mu0: values must be non-negative")
-    grouped_mu0: tuple[tuple[float, ...], ...] = tuple(() for _ in lengths)
-    if "mu0_by_length" in lnk:
-        grouped_mu0 = _parse_grouped_floats(
-            "link", "mu0_by_length", lnk["mu0_by_length"], len(lengths)
-        )
-        if any(value < 0.0 for group in grouped_mu0 for value in group):
-            raise ConfigError("link.mu0_by_length: values must be non-negative")
-    mu0_by_length = tuple(
-        shared_mu0 + group for group in grouped_mu0
-    )
-
-    shared_targets: tuple[float, ...] = ()
-    if "fidelity_targets" in lnk:
-        shared_targets = _parse_float_list(
-            "link", "fidelity_targets", lnk["fidelity_targets"]
-        )
-    grouped_targets: tuple[tuple[float, ...], ...] = tuple(() for _ in lengths)
-    if "fidelity_targets_by_length" in lnk:
-        grouped_targets = _parse_grouped_floats(
-            "link", "fidelity_targets_by_length",
-            lnk["fidelity_targets_by_length"], len(lengths),
-        )
-    targets_by_length = tuple(shared_targets + group for group in grouped_targets)
-    for group in targets_by_length:
-        if any(not 0.0 < value < 1.0 for value in group):
-            raise ConfigError("link fidelity targets must lie strictly in (0, 1)")
-
-    if all(not group for group in mu0_by_length) and all(
-        not group for group in targets_by_length
-    ):
+    lengths = v["lengths_km"]
+    mu0_by_length = _by_length(v, "mu0", "mu0_by_length")
+    targets_by_length = _by_length(v, "fidelity_targets", "fidelity_targets_by_length")
+    if not any(mu0_by_length) and not any(targets_by_length):
         raise ConfigError(
             "link: at least one of mu0 / mu0_by_length / fidelity_targets / "
             "fidelity_targets_by_length is required"
         )
-
-    # --- output ---
-    out_dir = out.get("directory", "out")
-    out_format = out.get("format", "csv")
-    if out_format not in ("csv", "json"):
-        raise ConfigError(f"output.format: must be 'csv' or 'json', got {out_format!r}")
-    table_sigfigs = 3
-    if "table_sigfigs" in out:
-        table_sigfigs = _parse_int("output", "table_sigfigs", out["table_sigfigs"])
-        if table_sigfigs < 1:
-            raise ConfigError(
-                f"output.table_sigfigs: must be at least 1, got {table_sigfigs}"
-            )
-
-    # --- spectrum ---
-    spectrum_points = 2001
-    if "points" in spc:
-        spectrum_points = _parse_int("spectrum", "points", spc["points"])
-        if spectrum_points < 2:
-            raise ConfigError(
-                f"spectrum.points: need at least 2 samples, got {spectrum_points}"
-            )
 
     echo = (
         ("pump_frequency_hz", repr(nu_p0)),
@@ -334,27 +275,23 @@ def load_config(path: str) -> RunConfig:
         ("k_idler", str(k_i)),
         ("modes_per_side", str(side_modes)),
         ("lengths_km", " ".join(repr(length) for length in lengths)),
-        ("attenuation_db_per_km", repr(alpha)),
-        ("detector_efficiency", repr(eta_det)),
-        ("mu0_by_length", "; ".join(
-            " ".join(repr(value) for value in group) for group in mu0_by_length
-        )),
-        ("fidelity_targets_by_length", "; ".join(
-            " ".join(repr(value) for value in group) for group in targets_by_length
-        )),
-        ("table_sigfigs", str(table_sigfigs)),
+        ("attenuation_db_per_km", repr(v["attenuation_db_per_km"])),
+        ("detector_efficiency", repr(v["detector_efficiency"])),
+        ("mu0_by_length", _groups_text(mu0_by_length)),
+        ("fidelity_targets_by_length", _groups_text(targets_by_length)),
+        ("table_sigfigs", str(v["table_sigfigs"])),
     )
 
     return RunConfig(
         source=source,
         lengths_km=lengths,
-        alpha_att_db_per_km=alpha,
-        eta_det=eta_det,
+        alpha_att_db_per_km=v["attenuation_db_per_km"],
+        eta_det=v["detector_efficiency"],
         mu0_by_length=mu0_by_length,
         fidelity_targets_by_length=targets_by_length,
-        out_dir=out_dir,
-        out_format=out_format,
-        table_sigfigs=table_sigfigs,
-        spectrum_points=spectrum_points,
+        out_dir=v["directory"],
+        out_format=v["format"],
+        table_sigfigs=v["table_sigfigs"],
+        spectrum_points=v["points"],
         echo=echo,
     )

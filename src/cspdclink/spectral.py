@@ -69,6 +69,12 @@ class SourceSpec:
                 f"(k_s, k_i)=({self.k_s}, {self.k_i}) misses the pump by "
                 f"{residual:.6g} Hz, more than half an idler FSR"
             )
+        lowest = min(self.k_s, self.k_i) - self.side_modes
+        if lowest < 1:
+            raise ValueError(
+                f"side_modes={self.side_modes}: the mode window reaches resonance "
+                f"order {lowest}; orders must be positive"
+            )
 
     @property
     def mode_indices(self) -> np.ndarray:
@@ -86,8 +92,7 @@ class SourceSpec:
 class ModeTable:
     """Per-mode decomposition data in ascending mode order.
 
-    ``ratio`` is (C_S,k C_I,k) / (C_S,0 C_I,0); ``mu_k`` stays ``None`` until
-    a mean photon number assignment fills it.
+    ``ratio`` is (C_S,k C_I,k) / (C_S,0 C_I,0).
     """
 
     k: np.ndarray
@@ -95,7 +100,6 @@ class ModeTable:
     c_s: np.ndarray
     c_i: np.ndarray
     ratio: np.ndarray
-    mu_k: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n = self.k.size
@@ -228,18 +232,6 @@ def xi(spec: SourceSpec, m_s: int, m_i: int, nu_s, nu_i):
     return float(out) if (np.ndim(nu_s) == 0 and np.ndim(nu_i) == 0) else out
 
 
-def pump_envelope(nu_s, nu_i, nu_p0: float, sigma_p: float):
-    """Gaussian stand-in exp[-(nu_s + nu_i - nu_p0)^2 / (2 sigma_p^2)].
-
-    Figure-reproduction device only; the physical CW pump is treated as
-    monochromatic everywhere else.
-    """
-    if sigma_p <= 0.0:
-        raise ValueError(f"sigma_p={sigma_p}: must be positive")
-    detuning = np.asarray(nu_s, dtype=float) + np.asarray(nu_i, dtype=float) - nu_p0
-    return np.exp(-(detuning**2) / (2.0 * sigma_p**2))
-
-
 def jsa_approx(spec: SourceSpec, nu_s, nu_i):
     """Joint spectral amplitude summed over the 2M+1 joint modes.
 
@@ -262,13 +254,12 @@ def jsa_approx(spec: SourceSpec, nu_s, nu_i):
     return complex(out) if out.ndim == 0 else out
 
 
-def jsi_approx(spec: SourceSpec, nu_s, nu_i, sigma_p: float | None = None):
+def jsi_approx(spec: SourceSpec, nu_s, nu_i):
     """Joint spectral intensity summed over the 2M+1 joint modes.
 
     Each summand is the square-rooted product of the four real Lorentzians of
     one mode, i.e. the squared modulus of the signal amplitude times that of
-    the idler amplitude.  ``sigma_p`` optionally multiplies in the Gaussian
-    pump envelope for figure reproduction.
+    the idler amplitude.
     """
     ns = np.asarray(nu_s, dtype=float)
     ni = np.asarray(nu_i, dtype=float)
@@ -286,8 +277,6 @@ def jsi_approx(spec: SourceSpec, nu_s, nu_i, sigma_p: float | None = None):
             * (1.0 + (2.0 * (ni - b) / g_i) ** 2)
         ) ** -0.5
         out = out + w_s * w_i
-    if sigma_p is not None:
-        out = out * pump_envelope(ns, ni, spec.nu_p0, sigma_p)
     return float(out) if out.ndim == 0 else out
 
 

@@ -8,8 +8,6 @@ of each mode is thermal.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .spectral import ModeTable
@@ -46,8 +44,3 @@ def thermal_distribution(mu, n):
         raise ValueError("n must be a non-negative integer")
     out = mu_arr**n_arr / (mu_arr + 1.0) ** (n_arr + 1)
     return float(out) if out.ndim == 0 else out
-
-
-def fill_mean_photon_numbers(modes: ModeTable, mu0: float) -> ModeTable:
-    """Copy of the mode table with mu_k assigned for the given reference mu0."""
-    return dataclasses.replace(modes, mu_k=mean_photon_number(mu0, modes.ratio))

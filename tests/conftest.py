@@ -88,21 +88,6 @@ def normalized_mode_overlap(spec, k, j, span_fsr=30.0, step_hz=4e3):
     return float(abs(integral(k, j)) / math.sqrt(norms))
 
 
-def trapezoid_mode_norm(spec, k, widths=3000.0, points=400_001):
-    """Mode-norm integral by the trapezoid rule plus analytic 1/x^2 tails;
-    independent of the package's closed form."""
-    from cspdclink.spectral import cluster_detuning, mode_amplitude_signal
-
-    delta = float(cluster_detuning(spec, k))
-    g_max = max(spec.sig.fwhm, spec.idl.fwhm)
-    center = float(spec.signal_center(k)) - delta / 2.0
-    half = widths * g_max + abs(delta)
-    nu = np.linspace(center - half, center + half, points)
-    values = np.abs(mode_amplitude_signal(spec, k, nu)) ** 2
-    tails = spec.sig.fwhm * spec.idl.fwhm / (2.0 * half)
-    return float(np.trapezoid(values, nu)) + tails
-
-
 def mpmath_mode_norm(delta_hz, g_s_hz, g_i_hz, dps=30):
     """Mode-norm integral of [1+(2x/g_S)^2]^(-1/2) [1+(2(x+delta)/g_I)^2]^(-1/2)
     by mpmath quadrature at ``dps`` digits; independent of the package's

@@ -19,6 +19,7 @@ from cspdclink.cavity import (
     airy_normalized,
     find_main_cluster,
 )
+from cspdclink.cli import _trapezoid_mode_norm
 from cspdclink.link import (
     LinkParams,
     attenuation,
@@ -39,7 +40,6 @@ from conftest import (
     adjacent_overlap_bound,
     make_degenerate_source,
     normalized_mode_overlap,
-    trapezoid_mode_norm,
 )
 
 ETA_DET = 0.9
@@ -244,7 +244,7 @@ def test_accept_8b_mode_function_normalisation():
     for spec in (synthetic_source(33.0, 52.0), synthetic_source(76.0, 41.0)):
         for k in (-3, 0, 2):
             c_s, _ = normalization_constants(spec, k)
-            worst = max(worst, abs(trapezoid_mode_norm(spec, k) / c_s**2 - 1.0))
+            worst = max(worst, abs(_trapezoid_mode_norm(spec, k) / c_s**2 - 1.0))
     check("mode-function-normalisation", worst <= 1e-9,
           f"max relative deviation {worst:.3e} (tol 1e-9)")
 

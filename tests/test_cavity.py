@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cspdclink.cavity import (
+    C_VACUUM,
     CavityParams,
     LowFinesseWarning,
     MirrorSet,
@@ -185,6 +186,52 @@ def test_find_main_cluster_reproduces_design_point():
     # the seed rounding alone lands ~66 orders away; the residual scan is
     # what pins the cluster centre
     assert abs(spec.k_s * spec.sig.fsr + spec.k_i * spec.idl.fsr - spec.nu_p0) < 2e4
+
+
+def scan_main_cluster(nu_s_seed, nu_p0, sig, idl):
+    """Reference search: the residual at every signal order of the window
+    find_main_cluster searches, first minimum (lower K_S) on ties."""
+    base_s, _ = resonance_indices(nu_s_seed, nu_p0, sig, idl)
+    halfwidth = math.ceil(0.5 * idl.fsr / abs(sig.fsr - idl.fsr)) + 2
+    m_s = np.arange(base_s - halfwidth, base_s + halfwidth + 1, dtype=float)
+    m_i = np.round((nu_p0 - m_s * sig.fsr) / idl.fsr)
+    best = int(np.argmin(np.abs(m_s * sig.fsr + m_i * idl.fsr - nu_p0)))
+    return int(m_s[best]), int(m_i[best])
+
+
+@given(fsr_i=st.floats(5e7, 5e8), period=st.floats(1.5, 3e4),
+       sign=st.sampled_from([-1.0, 1.0]), nu_p0=st.floats(1e14, 1e15),
+       seed_frac=st.floats(0.2, 0.8))
+@settings(max_examples=300, deadline=None)
+def test_find_main_cluster_equals_the_scan(fsr_i, period, sign, nu_p0, seed_frac):
+    # period = FSR_I / |FSR_S - FSR_I|, the cluster spacing in signal orders
+    sig = CavityParams(fsr=fsr_i * (1.0 + sign / period), finesse=50.0)
+    idl = CavityParams(fsr=fsr_i, finesse=50.0)
+    seed = seed_frac * nu_p0
+    assert find_main_cluster(seed, nu_p0, sig, idl) == scan_main_cluster(seed, nu_p0, sig, idl)
+
+
+@given(fsr_s=st.integers(1, 40), fsr_i=st.integers(1, 40),
+       nu_p0=st.integers(100, 5000), seed=st.integers(1, 99))
+@settings(max_examples=300, deadline=None)
+def test_find_main_cluster_equals_the_scan_on_integer_grids(fsr_s, fsr_i, nu_p0, seed):
+    # integer frequencies tie residuals exactly, so the lower-K_S rule shows
+    if fsr_s == fsr_i:
+        fsr_s += 1
+    sig = CavityParams(fsr=float(fsr_s), finesse=50.0)
+    idl = CavityParams(fsr=float(fsr_i), finesse=50.0)
+    args = (float(seed), float(nu_p0), sig, idl)
+    assert find_main_cluster(*args) == scan_main_cluster(*args)
+
+
+@pytest.mark.parametrize("ratio", [1e-9, 1e3, 1e9])
+def test_find_main_cluster_equals_the_scan_for_far_apart_fsrs(ratio):
+    # FSR_S >> FSR_I puts about FSR_S / FSR_I residual zeros in a window of
+    # seven orders, so only the orders themselves are evaluated
+    sig = CavityParams(fsr=121.12e6 * ratio, finesse=50.0)
+    idl = CavityParams(fsr=121.12e6, finesse=50.0)
+    args = (C_VACUUM / 606e-9, C_VACUUM / 435.5359e-9, sig, idl)
+    assert find_main_cluster(*args) == scan_main_cluster(*args)
 
 
 def test_airy_lorentzian_sum_peak_and_neighbor_tail():

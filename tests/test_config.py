@@ -1,7 +1,12 @@
+import math
+import re
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
 from cspdclink.cli import EXIT_CONFIG_ERROR, main
-from cspdclink.config import ConfigError, load_config
+from cspdclink.config import SCHEMA, ConfigError, load_config
 
 BASE = """\
 [source]
@@ -71,7 +76,7 @@ def test_fidelity_targets_alone_are_sufficient(tmp_path):
      "link.detector_efficiency"),
     (("fsr_signal_mhz = 121.120", "fsr_signal_mhz = -1"), "source.fsr_signal_mhz"),
     (("modes_per_side = 50", "modes_per_side = -2"), "source.modes_per_side"),
-    (("mu0 = 0.010", "mu0 = 0.010\nfidelity_targets = 1.5"), "fidelity targets"),
+    (("mu0 = 0.010", "mu0 = 0.010\nfidelity_targets = 1.5"), "link.fidelity_targets"),
     (("mu0 = 0.010", "mu0 = 0.010\nbogus_key = 1"), "link.bogus_key"),
     (("mu0 = 0.010", "mu0 = nan"), "link.mu0"),
     (("mu0 = 0.010", "mu0 = 0.010, inf"), "link.mu0"),
@@ -83,7 +88,7 @@ def test_field_level_errors(tmp_path, mutation, field):
         load_config(write(tmp_path, BASE.replace(old, new)))
 
 
-def test_modes_per_side_bounded_by_cluster_half_width(tmp_path):
+def test_modes_per_side_bounded_by_cluster_half_width(tmp_path, capsys):
     # floor(FSR_I / (2 |FSR_S - FSR_I|)) = floor(121.189 / 0.138) = 878
     assert load_config(write(tmp_path, BASE.replace(
         "modes_per_side = 50", "modes_per_side = 878"))).source.side_modes == 878
@@ -92,13 +97,33 @@ def test_modes_per_side_bounded_by_cluster_half_width(tmp_path):
         with pytest.raises(ConfigError, match=r"source\.modes_per_side.*878"):
             load_config(write(tmp_path, BASE.replace(
                 "modes_per_side = 50", f"modes_per_side = {side_modes}")))
-    # equal FSRs: every order lies in one cluster, so no bound applies
+    # equal FSRs: every order lies in one cluster, so no half-width applies;
+    # the window is bounded only by the resonance orders staying positive
     equal = BASE.replace("fsr_idler_mhz = 121.189", "fsr_idler_mhz = 121.120") \
-                .replace("pump_wavelength_nm = 435.5359", "pump_frequency_mhz = 2422.4") \
+                .replace("pump_wavelength_nm = 435.5359", "pump_frequency_mhz = 2422400") \
                 .replace("signal_seed_wavelength_nm = 606.0",
-                         "k_signal = 10\nk_idler = 10") \
-                .replace("modes_per_side = 50", "modes_per_side = 5000")
-    assert load_config(write(tmp_path, equal)).source.side_modes == 5000
+                         "k_signal = 10000\nk_idler = 10000")
+    assert load_config(write(tmp_path, equal.replace(
+        "modes_per_side = 50", "modes_per_side = 9999"))).source.side_modes == 9999
+    with pytest.raises(ConfigError, match=r"source\.modes_per_side.*order 0\b"):
+        load_config(write(tmp_path, equal.replace(
+            "modes_per_side = 50", "modes_per_side = 10000")))
+    out = tmp_path / "out"
+    huge = write(tmp_path, equal.replace("modes_per_side = 50", f"modes_per_side = {10**13}"))
+    assert main(["modes", "--config", huge, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert "source.modes_per_side" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_frequencies_beyond_the_float_range_are_config_errors(tmp_path):
+    # 1e303 MHz is an infinite FSR in Hz
+    with pytest.raises(ConfigError, match=r"source: fsr=inf"):
+        load_config(write(tmp_path, BASE.replace("121.120", "1e303")))
+    # a 1e-306 Hz signal FSR puts the seed's order beyond the float range
+    tiny = BASE.replace("121.120", "1e-312").replace("modes_per_side = 50",
+                                                    "modes_per_side = 0")
+    with pytest.raises(ConfigError, match=r"^source: "):
+        load_config(write(tmp_path, tiny))
 
 
 def test_pump_specification_is_exclusive(tmp_path):
@@ -152,3 +177,121 @@ def test_output_and_spectrum_sections(tmp_path, capsys):
     assert "spectrum.pump_sigma_mhz: unknown key" in capsys.readouterr().err
     with pytest.raises(ConfigError, match="output.format"):
         load_config(write(tmp_path, text.replace("format = json", "format = xml")))
+
+
+# Keys whose edge values rules joining several keys refuse in BASE, so that
+# only their own domain check is asserted there.
+JOINED = {
+    "source.pump_wavelength_nm": "the pump frequency leaves the float range",
+    "source.pump_frequency_mhz": "the signal seed must lie below the pump",
+    "source.fsr_signal_mhz": "the cluster half-width falls below modes_per_side",
+    "source.fsr_idler_mhz": "the cluster half-width falls below modes_per_side",
+    "source.k_signal": "the orders must meet the pump within half an idler FSR",
+    "source.k_idler": "the orders must meet the pump within half an idler FSR",
+    "source.signal_seed_wavelength_nm": "the seed frequency leaves the float range",
+}
+
+# The edit of BASE that makes room for a key: it drops the other half of its
+# either/or pair.
+MAKE_ROOM = {
+    "pump_frequency_mhz": ("pump_wavelength_nm = 435.5359\n", ""),
+    "signal_seed_frequency_mhz": ("signal_seed_wavelength_nm = 606.0\n", ""),
+    "k_signal": ("signal_seed_wavelength_nm = 606.0\n",
+                 "k_signal = 4084371\nk_idler = 1597761\n"),
+}
+MAKE_ROOM["k_idler"] = MAKE_ROOM["k_signal"]
+
+NUMERIC_KEYS = [
+    f"{section}.{name}"
+    for section, keys in SCHEMA.items()
+    for name, key in keys.items()
+    if key.kind not in ("choice", "text")
+]
+
+
+def with_value(name, raw):
+    """BASE with ``section.key = raw``; grouped keys get one group per length."""
+    section, key = name.split(".")
+    if SCHEMA[section][key].kind == "groups":
+        raw = "; ".join([raw] * 3)
+    text = BASE.replace(*MAKE_ROOM.get(key, ("", "")))
+    text = "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith(f"{key} ="))
+    header = f"[{section}]\n"
+    if header not in text:
+        text += "\n" + header
+    return text.replace(header, f"{header}{key} = {raw}\n")
+
+
+def domain_edges(kind, domain):
+    """(inside, outside) value pairs at each finite end of an interval."""
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    edges = []
+    for bound, is_open, inward in ((lo, domain[0] == "(", 1.0), (hi, domain[-1] == ")", -1.0)):
+        if math.isinf(bound):
+            continue
+        if kind == "int":
+            edges.append((int(bound), int(bound - inward)))
+        elif is_open:
+            edges.append((math.nextafter(bound, bound + inward), bound))
+        else:
+            edges.append((bound, math.nextafter(bound, bound - inward)))
+    return edges
+
+
+@pytest.mark.filterwarnings("ignore::cspdclink.cavity.LowFinesseWarning")
+@pytest.mark.parametrize("name", NUMERIC_KEYS)
+def test_every_numeric_key_is_checked_against_its_domain(tmp_path, capsys, name):
+    section, key = name.split(".")
+    spec = SCHEMA[section][key]
+    edges = domain_edges(spec.kind, spec.domain)
+    assert edges, f"{name}: domain {spec.domain} has no finite end"
+    out = tmp_path / "out"
+    for inside, outside in edges:
+        path = write(tmp_path, with_value(name, repr(inside)))
+        if name in JOINED:
+            with pytest.raises(ConfigError) as err:
+                load_config(path)
+            assert "must lie in" not in str(err.value), JOINED[name]
+        else:
+            load_config(path)
+        for raw in (repr(outside), "nan", "inf"):
+            path = write(tmp_path, with_value(name, raw))
+            assert main(["modes", "--config", path, "--out", str(out), "--quiet"]) \
+                == EXIT_CONFIG_ERROR, raw
+            assert f"configuration error: {name}: " in capsys.readouterr().err, raw
+    assert not out.exists()
+
+
+def test_fsrs_one_hz_apart_exit_2_without_a_per_order_array(tmp_path, capsys):
+    # the cluster nearest the seed is centred 20 million orders below zero; the
+    # scan this replaced built 924 MiB arrays to find it
+    text = BASE.replace("fsr_idler_mhz = 121.189", "fsr_idler_mhz = 121.120001")
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["modes", "--config", write(tmp_path, text), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "source.modes_per_side" in err and "order -20641798" in err
+    assert peak < 1e6
+    assert not out.exists()
+
+
+def test_readme_states_every_key_and_its_domain_once():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+\.\w+)` \| [^|]+ \| ([^|]+?) \|", readme, re.MULTILINE)
+
+    def shown(key):
+        if isinstance(key.domain, str):
+            return key.domain
+        return ", ".join(key.domain) if key.domain else "any"
+
+    assert len(rows) == len(dict(rows))
+    assert dict(rows) == {
+        f"{section}.{name}": shown(key)
+        for section, keys in SCHEMA.items() for name, key in keys.items()
+    }

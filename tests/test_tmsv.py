@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cspdclink.tmsv import (
-    fill_mean_photon_numbers,
     mean_photon_number,
     squeeze_ratio,
     thermal_distribution,
@@ -98,9 +97,3 @@ def test_multiplexed_mean_photon_numbers(hf_modes, lf_modes):
     mu_lf = mean_photon_number(0.038, lf_modes.ratio)
     assert np.sum(mu_lf) == pytest.approx(3.46, abs=0.02)
 
-
-def test_fill_mean_photon_numbers(hf_modes):
-    filled = fill_mean_photon_numbers(hf_modes, 0.010)
-    assert filled.mu_k is not None
-    assert filled.mu_k[filled.center_index] == pytest.approx(0.010, rel=1e-15)
-    assert hf_modes.mu_k is None
