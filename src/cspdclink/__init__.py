@@ -7,12 +7,9 @@ from .cavity import (
     C_VACUUM,
     CavityParams,
     LowFinesseWarning,
-    MirrorSet,
     airy_lorentzian_sum,
     airy_normalized,
-    enhancement_factor,
     find_main_cluster,
-    finesse_from_mirrors,
     resonance_indices,
 )
 from .config import ConfigError, RunConfig, load_config
@@ -42,7 +39,6 @@ from .spectral import (
 )
 from .tmsv import (
     mean_photon_number,
-    squeeze_ratio,
     thermal_distribution,
 )
 
@@ -53,7 +49,6 @@ __all__ = [
     "LinkParams",
     "LinkReport",
     "LowFinesseWarning",
-    "MirrorSet",
     "ModeTable",
     "QuadratureError",
     "RunConfig",
@@ -62,11 +57,9 @@ __all__ = [
     "airy_normalized",
     "attenuation",
     "cluster_detuning",
-    "enhancement_factor",
     "evaluate_link",
     "fidelity_single",
     "find_main_cluster",
-    "finesse_from_mirrors",
     "heralding_probability_single",
     "improvement_ratios",
     "jsa_approx",
@@ -80,7 +73,6 @@ __all__ = [
     "resonance_indices",
     "signal_spectrum_samples",
     "solve_mu0_for_fidelity",
-    "squeeze_ratio",
     "thermal_distribution",
     "xi",
 ]

@@ -1,10 +1,9 @@
 """Ring-resonator line-shape relations.
 
 Everything here treats one resonator at a time: the unit-peak Airy resonance
-profile, its finesse / free-spectral-range / linewidth relations, the peak
-enhancement factor of the buildup field, and the location of the joint
-resonance indices for a doubly resonant signal/idler pair pumped at a fixed
-frequency.
+profile, its finesse / free-spectral-range / linewidth relations, and the
+location of the joint resonance indices for a doubly resonant signal/idler
+pair pumped at a fixed frequency.
 
 Frequencies are plain cycles-per-second (Hz) throughout; angular frequencies
 never appear in the public surface.
@@ -30,59 +29,14 @@ class LowFinesseWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class MirrorSet:
-    """Mirror reflectivities and loop geometry of one ring resonator.
-
-    ``loss`` is the round-trip intensity survival factor (1 = lossless),
-    ``l_opt`` the round-trip optical path length and ``l_init`` the optical
-    path from the generation point to the output mirror, both in metres.
-    """
-
-    r1: float
-    r2: float
-    r3: float
-    r4: float
-    loss: float = 1.0
-    l_opt: float = 1.0
-    l_init: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("r1", "r2", "r3", "r4"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name}={value}: reflectivity must lie in [0, 1]")
-        if not 0.0 < self.loss <= 1.0:
-            raise ValueError(f"loss={self.loss}: round-trip survival must lie in (0, 1]")
-        if self.l_opt <= 0.0:
-            raise ValueError(f"l_opt={self.l_opt}: round-trip path must be positive")
-        if not 0.0 <= self.l_init <= self.l_opt:
-            raise ValueError(
-                f"l_init={self.l_init}: must lie in [0, l_opt={self.l_opt}]"
-            )
-        if self.g >= 1.0:
-            raise ValueError(
-                "g=1: lossless closed cavity has no steady state (divergent buildup)"
-            )
-
-    @property
-    def g(self) -> float:
-        """Round-trip amplitude survival sqrt(R1 R2 R3 R4 G)."""
-        return math.sqrt(self.r1 * self.r2 * self.r3 * self.r4 * self.loss)
-
-    @property
-    def fsr(self) -> float:
-        """Resonance spacing c / l_opt in Hz."""
-        return C_VACUUM / self.l_opt
-
-
-@dataclass(frozen=True)
 class CavityParams:
     """Free spectral range and finesse of one resonator.
 
     The full width at half maximum is derived, ``fwhm = fsr / finesse``, so
-    ``fwhm * finesse == fsr`` holds by construction.  Construction emits a
-    :class:`LowFinesseWarning` below finesse 10; exact Airy evaluation stays
-    valid there, but the per-peak Lorentzian treatment does not.
+    ``fwhm * finesse == fsr`` holds by construction; the linewidth must be
+    finite and positive.  Construction emits a :class:`LowFinesseWarning`
+    below finesse 10; exact Airy evaluation stays valid there, but the
+    per-peak Lorentzian treatment does not.
     """
 
     fsr: float
@@ -93,6 +47,11 @@ class CavityParams:
             raise ValueError(f"fsr={self.fsr}: must be positive and finite")
         if self.finesse <= 0.0:
             raise ValueError(f"finesse={self.finesse}: must be positive")
+        if not 0.0 < self.fwhm < math.inf:
+            raise ValueError(
+                f"finesse={self.finesse}: gives the linewidth fsr / finesse = "
+                f"{self.fwhm!r} Hz; it must be positive and finite"
+            )
         if not self.lorentzian_valid:
             warnings.warn(
                 f"finesse={self.finesse:g} is below {LORENTZIAN_FINESSE_FLOOR:g}: "
@@ -109,10 +68,6 @@ class CavityParams:
     def lorentzian_valid(self) -> bool:
         return self.finesse >= LORENTZIAN_FINESSE_FLOOR
 
-    @classmethod
-    def from_mirrors(cls, mirrors: MirrorSet) -> "CavityParams":
-        return cls(fsr=mirrors.fsr, finesse=finesse_from_mirrors(mirrors))
-
 
 def airy_normalized(nu, cav: CavityParams):
     """Unit-peak periodic resonance profile.
@@ -128,25 +83,6 @@ def airy_normalized(nu, cav: CavityParams):
     s = np.sin(np.pi * (x - np.round(x)))
     out = 1.0 / (1.0 + (2.0 * cav.finesse / np.pi) ** 2 * s * s)
     return float(out) if np.ndim(nu) == 0 else out
-
-
-def finesse_from_mirrors(mirrors: MirrorSet) -> float:
-    """Finesse pi sqrt(g) / (1 - g) of the resonator.
-
-    ``g >= 1`` is rejected at :class:`MirrorSet` construction.
-    """
-    g = mirrors.g
-    return math.pi * math.sqrt(g) / (1.0 - g)
-
-
-def enhancement_factor(mirrors: MirrorSet) -> float:
-    """Peak intensity buildup R2 R3 (1 - R4) G / (1 - g)^2.
-
-    For a cavity that is lossless apart from the output mirror
-    (R2 = R3 = G = 1) this reduces to (1 + sqrt(R4)) / (1 - sqrt(R4)).
-    """
-    g = mirrors.g
-    return mirrors.r2 * mirrors.r3 * (1.0 - mirrors.r4) * mirrors.loss / (1.0 - g) ** 2
 
 
 def resonance_indices(
@@ -215,21 +151,20 @@ def airy_lorentzian_sum(nu, cav: CavityParams, m_lo: int, m_hi: int):
     """Sum of unit-peak Lorentzians standing in for the Airy profile.
 
     Adds ``1 / (1 + (4 / fwhm^2)(nu - m fsr)^2)`` for resonance orders
-    ``m_lo..m_hi`` inclusive.  Warns when the finesse is below the validity
-    floor of the approximation.
+    ``m_lo..m_hi`` inclusive.  Below the validity floor of the approximation
+    the cavity warned at construction.
     """
     if m_lo > m_hi:
         raise ValueError(f"empty resonance window: m_lo={m_lo} > m_hi={m_hi}")
-    if not cav.lorentzian_valid:
-        warnings.warn(
-            f"finesse={cav.finesse:g} is below {LORENTZIAN_FINESSE_FLOOR:g}: "
-            "Lorentzian-sum values are not trusted at this finesse",
-            LowFinesseWarning,
-            stacklevel=2,
-        )
     x = np.asarray(nu, dtype=float)
     inv_hwhm_sq = 4.0 / cav.fwhm**2
     out = np.zeros_like(x)
+    term = np.empty_like(x)
     for m in range(m_lo, m_hi + 1):
-        out += 1.0 / (1.0 + inv_hwhm_sq * (x - m * cav.fsr) ** 2)
+        # in place, so that one buffer serves every order
+        np.subtract(x, m * cav.fsr, out=term)
+        term *= term
+        term *= inv_hwhm_sq
+        term += 1.0
+        out += np.divide(1.0, term, out=term)
     return float(out) if np.ndim(nu) == 0 else out

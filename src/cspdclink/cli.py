@@ -15,19 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .cavity import (
-    CavityParams,
-    airy_lorentzian_sum,
-    airy_normalized,
-)
+from .checks import Record, verify_records
 from .config import ConfigError, RunConfig, load_config
 from .link import (
     LinkParams,
@@ -38,18 +32,8 @@ from .link import (
     improvement_ratios,
     solve_mu0_for_fidelity,
 )
-from .spectral import (
-    QuadratureError,
-    SourceSpec,
-    cluster_detuning,
-    jsa_approx,
-    jsi_approx,
-    mode_amplitude_signal,
-    mode_table,
-    normalization_constants,
-    signal_spectrum_samples,
-)
-from .tmsv import mean_photon_number, thermal_distribution
+from .spectral import jsi_approx, mode_table, signal_spectrum_samples
+from .tmsv import mean_photon_number
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
@@ -235,152 +219,21 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-# --- verification checks -----------------------------------------------------
-
-def _degenerate_spec(gamma_hz: float) -> SourceSpec:
-    # equal linewidths, zero centre detuning: the mode profile is an exact
-    # Lorentzian whose norm integral has the closed form pi * gamma / 2
-    fsr = 100e6
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cav = CavityParams(fsr=fsr, finesse=fsr / gamma_hz)
-    return SourceSpec(
-        nu_p0=2_000_000 * fsr, sig=cav, idl=cav,
-        k_s=1_000_000, k_i=1_000_000, side_modes=0,
-    )
-
-
-def _check_quadrature_oracle():
-    worst = 0.0
-    for gamma_mhz in (1.0, 2.0, 4.0):
-        gamma = gamma_mhz * 1e6
-        c_s, _ = normalization_constants(_degenerate_spec(gamma), 0)
-        exact = math.pi * gamma / 2.0
-        worst = max(worst, abs(c_s**2 / exact - 1.0))
-    return worst, 1e-13
-
-
-def _trapezoid_mode_norm(spec: SourceSpec, k: int) -> float:
-    """Independent route to the C_S^2 integral: trapezoid rule over a wide
-    window plus the exact 1/x^2 tails of two Lorentzian peaks |delta| apart,
-    (g_S g_I / |delta|) atanh(|delta| / (2 H)), which is g_S g_I / (2 H) at
-    delta = 0."""
-    delta = float(cluster_detuning(spec, k))
-    g_max = max(spec.sig.fwhm, spec.idl.fwhm)
-    center = float(spec.signal_center(k)) - delta / 2.0
-    half = 2000.0 * g_max + abs(delta)
-    n = 200_001
-    nu = np.linspace(center - half, center + half, n)
-    values = np.abs(mode_amplitude_signal(spec, k, nu)) ** 2
-    ratio = abs(delta) / (2.0 * half)
-    atanh_ratio = math.atanh(ratio) / ratio if ratio > 0.0 else 1.0
-    tails = spec.sig.fwhm * spec.idl.fwhm / (2.0 * half) * atanh_ratio
-    return float(np.trapezoid(values, x=nu)) + tails
-
-
-def _check_orthonormality(spec: SourceSpec):
-    worst = 0.0
-    for k in sorted({-spec.side_modes, 0, spec.side_modes}):
-        c_s, _ = normalization_constants(spec, k)
-        worst = max(worst, abs(_trapezoid_mode_norm(spec, k) / c_s**2 - 1.0))
-    return worst, 1e-8
-
-
-def _jsa_jsi_grid_deviation(spec: SourceSpec, n: int = 200) -> float:
-    span = (min(4, spec.side_modes) + 0.5)
-    nu_s = np.linspace(
-        spec.signal_center(0) - span * spec.sig.fsr,
-        spec.signal_center(0) + span * spec.sig.fsr, n,
-    )
-    nu_i = np.linspace(
-        spec.idler_center(0) - span * spec.idl.fsr,
-        spec.idler_center(0) + span * spec.idl.fsr, n,
-    )
-    amp = jsa_approx(spec, nu_s[:, None], nu_i[None, :])
-    intensity = jsi_approx(spec, nu_s[:, None], nu_i[None, :])
-    return float(np.max(np.abs(np.abs(amp) ** 2 - intensity)))
-
-
-def _check_thermal():
-    worst = 0.0
-    for mu in (0.01, 0.1, 1.0):
-        q = mu / (mu + 1.0)
-        n_max = max(60, int(math.ceil(math.log(1e-12) / math.log(q))) + 1)
-        n = np.arange(n_max + 1)
-        p = np.asarray(thermal_distribution(mu, n))
-        tail_total = q ** (n_max + 1)
-        tail_mean = q ** (n_max + 1) * ((n_max + 1) - n_max * q) * (mu + 1.0)
-        worst = max(
-            worst,
-            abs(float(p.sum()) + tail_total - 1.0),
-            abs(float(np.sum(n * p)) + tail_mean - mu),
-        )
-    return worst, 1e-9
-
-
-def _lorentzian_airy_deviation(cav: CavityParams, window: int = 50) -> float:
-    nu = np.linspace(0.0, cav.fsr, 100_001)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        approx = airy_lorentzian_sum(nu, cav, -window, window)
-    return float(np.max(np.abs(approx - airy_normalized(nu, cav))))
+def _render(record: Record) -> str:
+    if record.measured is None:
+        return f"[WARN] {record.name}: {record.note}"
+    if record.tol is None:
+        return f"[INFO] {record.name}: measured={record.measured:.3e} ({record.note})"
+    suffix = f" ({record.note})" if record.note else ""
+    return (f"[{'PASS' if record.passed else 'FAIL'}] {record.name}: "
+            f"measured={record.measured:.3e} tol={record.tol:.1e}{suffix}")
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    spec = cfg.source
-    lines = []
-    failed = False
-
-    def record(name: str, measured: float, tol: float, note: str = ""):
-        nonlocal failed
-        ok = measured <= tol
-        failed = failed or not ok
-        suffix = f" ({note})" if note else ""
-        lines.append(
-            f"[{'PASS' if ok else 'FAIL'}] {name}: measured={measured:.3e} "
-            f"tol={tol:.1e}{suffix}"
-        )
-
-    measured, tol = _check_quadrature_oracle()
-    record("quadrature-closed-form-oracle", measured, tol,
-           "degenerate Lorentzian norm vs pi*gamma/2")
-
-    measured, tol = _check_orthonormality(spec)
-    record("mode-function-normalisation", measured, tol,
-           "closed form vs independent trapezoid integral")
-
-    if spec.side_modes == 0:
-        record("jsa-jsi-grid", _jsa_jsi_grid_deviation(spec), 1e-12,
-               "single mode: amplitude-squared equals intensity exactly")
-    else:
-        # cross terms dropped by the intensity form scale as 1/(F_S F_I);
-        # the 1e-3 floor is the design-point bound for finesse >= 61/83
-        tol = max(1e-3, 4.0 / (spec.sig.finesse * spec.idl.finesse))
-        record("jsa-jsi-grid", _jsa_jsi_grid_deviation(spec), tol,
-               "max | |amplitude|^2 - intensity | over the central modes")
-
-    measured, tol = _check_thermal()
-    record("thermal-distribution", measured, tol,
-           "normalisation and mean of the pair-number distribution")
-
-    for label, cav in (("signal", spec.sig), ("idler", spec.idl)):
-        if not cav.lorentzian_valid:
-            lines.append(
-                f"[WARN] lorentzian-approximation-{label}: finesse={cav.finesse:g} "
-                "is below 10; per-peak Lorentzian treatment not trusted"
-            )
-            continue
-        measured = _lorentzian_airy_deviation(cav)
-        if cav.finesse >= 30.0:
-            record(f"lorentzian-sum-vs-airy-{label}", measured, 1e-3)
-        else:
-            lines.append(
-                f"[INFO] lorentzian-sum-vs-airy-{label}: measured={measured:.3e} "
-                "(finesse below 30; 1e-3 bound not asserted)"
-            )
-
-    for line in lines:
-        print(line)
+    records = verify_records(cfg.source)
+    for record in records:
+        print(_render(record))
+    failed = not all(record.passed for record in records)
     print(f"verification {'FAILED' if failed else 'passed'}")
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
@@ -449,9 +302,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except QuadratureError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_ERROR
     except (ValueError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR

@@ -180,6 +180,18 @@ def _frequency_hz(values: dict[str, Any], wavelength_key: str, frequency_key: st
     return hz
 
 
+def _cavity(values: dict[str, Any], side: str) -> CavityParams:
+    """The signal or idler resonator; a linewidth outside the float range
+    names that side's finesse key."""
+    try:
+        return CavityParams(
+            fsr=1e6 * values[f"fsr_{side}_mhz"], finesse=values[f"finesse_{side}"]
+        )
+    except ValueError as exc:
+        field = f"source.finesse_{side}" if str(exc).startswith("finesse=") else "source"
+        raise ConfigError(f"{field}: {exc}") from exc
+
+
 def _by_length(
     values: dict[str, Any], shared_key: str, grouped_key: str
 ) -> tuple[tuple[float, ...], ...]:
@@ -215,11 +227,7 @@ def load_config(path: str) -> RunConfig:
         )
     nu_p0 = _frequency_hz(v, "pump_wavelength_nm", "pump_frequency_mhz")
     side_modes = v["modes_per_side"]
-    try:
-        sig = CavityParams(fsr=1e6 * v["fsr_signal_mhz"], finesse=v["finesse_signal"])
-        idl = CavityParams(fsr=1e6 * v["fsr_idler_mhz"], finesse=v["finesse_idler"])
-    except ValueError as exc:
-        raise ConfigError(f"source: {exc}") from exc
+    sig, idl = (_cavity(v, side) for side in ("signal", "idler"))
     if sig.fsr != idl.fsr:
         # beyond the cluster half-width the modes belong to neighbouring clusters
         half_width = math.floor(idl.fsr / (2.0 * abs(sig.fsr - idl.fsr)))

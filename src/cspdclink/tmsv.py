@@ -10,13 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import ModeTable
-
-
-def squeeze_ratio(modes: ModeTable, k: int) -> float:
-    """Squeezing ratio r_k / r_0 = (C_S,k C_I,k) / (C_S,0 C_I,0)."""
-    return float(modes.ratio[modes.index_of(k)])
-
 
 def mean_photon_number(mu0, ratio):
     """Mean pair number sinh^2(ratio * arcsinh(sqrt(mu0))).

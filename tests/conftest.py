@@ -24,14 +24,6 @@ def make_source(finesse_sig, finesse_idl, side_modes=SIDE_MODES):
                       side_modes=side_modes)
 
 
-def make_degenerate_source(gamma_hz, side_modes=0, fsr=100e6):
-    """Zero centre detuning with equal linewidths: the mode profile is an
-    exact Lorentzian, so its norm integral is pi * gamma / 2."""
-    cav = CavityParams(fsr=fsr, finesse=fsr / gamma_hz)
-    return SourceSpec(nu_p0=2_000_000 * fsr, sig=cav, idl=cav,
-                      k_s=1_000_000, k_i=1_000_000, side_modes=side_modes)
-
-
 @pytest.fixture(scope="session")
 def hf_spec():
     return make_source(*HF_FINESSE)

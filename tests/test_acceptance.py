@@ -7,19 +7,21 @@ the high- and low-finesse sources; the property checks at the end run on
 synthetic parameters only.
 """
 
-import math
-
 import numpy as np
-import pytest
 
 from cspdclink.cavity import (
     C_VACUUM,
     CavityParams,
-    airy_lorentzian_sum,
     airy_normalized,
     find_main_cluster,
 )
-from cspdclink.cli import _trapezoid_mode_norm
+from cspdclink.checks import (
+    check_jsa_jsi_grid,
+    check_lorentzian_sum,
+    check_mode_normalisation,
+    check_normalisation_oracle,
+    check_thermal,
+)
 from cspdclink.link import (
     LinkParams,
     attenuation,
@@ -29,18 +31,9 @@ from cspdclink.link import (
     improvement_ratios,
     solve_mu0_for_fidelity,
 )
-from cspdclink.spectral import (
-    SourceSpec,
-    jsa_approx,
-    jsi_approx,
-    normalization_constants,
-)
-from cspdclink.tmsv import mean_photon_number, thermal_distribution
-from conftest import (
-    adjacent_overlap_bound,
-    make_degenerate_source,
-    normalized_mode_overlap,
-)
+from cspdclink.spectral import SourceSpec
+from cspdclink.tmsv import mean_photon_number
+from conftest import adjacent_overlap_bound, normalized_mode_overlap
 
 ETA_DET = 0.9
 
@@ -170,36 +163,21 @@ def test_accept_5_resonance_indices():
 
 
 def test_accept_6_quadrature_oracle():
-    worst = 0.0
-    for gamma_mhz in (1.0, 2.0, 4.0):
-        gamma = gamma_mhz * 1e6
-        c_s, _ = normalization_constants(make_degenerate_source(gamma), 0)
-        worst = max(worst, abs(c_s**2 / (math.pi * gamma / 2.0) - 1.0))
+    worst = check_normalisation_oracle((1e6, 2e6, 4e6)).measured
     check(
-        "quadrature-closed-form-oracle",
+        "normalisation-closed-form-oracle",
         worst <= 1e-13,
         f"max relative deviation from pi*gamma/2 = {worst:.3e} (tol 1e-13)",
     )
 
 
-def _grid_deviation(spec, n=200):
-    span = min(4, spec.side_modes) + 0.5
-    nu_s = np.linspace(spec.signal_center(0) - span * spec.sig.fsr,
-                       spec.signal_center(0) + span * spec.sig.fsr, n)
-    nu_i = np.linspace(spec.idler_center(0) - span * spec.idl.fsr,
-                       spec.idler_center(0) + span * spec.idl.fsr, n)
-    amp = jsa_approx(spec, nu_s[:, None], nu_i[None, :])
-    intensity = jsi_approx(spec, nu_s[:, None], nu_i[None, :])
-    return float(np.max(np.abs(np.abs(amp) ** 2 - intensity)))
-
-
 def test_accept_7_amplitude_intensity_equivalence(hf_spec):
-    dev_full = _grid_deviation(hf_spec)
+    dev_full = check_jsa_jsi_grid(hf_spec).measured
     single = SourceSpec(
         nu_p0=hf_spec.nu_p0, sig=hf_spec.sig, idl=hf_spec.idl,
         k_s=hf_spec.k_s, k_i=hf_spec.k_i, side_modes=0,
     )
-    dev_single = _grid_deviation(single)
+    dev_single = check_jsa_jsi_grid(single).measured
     ok = dev_full <= 1e-3 and dev_single <= 1e-12
     check(
         "amplitude-intensity-equivalence",
@@ -222,29 +200,16 @@ def synthetic_source(finesse_sig, finesse_idl, side_modes=3):
 
 
 def test_accept_8a_thermal_distribution():
-    worst = 0.0
-    for mu in (0.004, 0.06, 0.8, 2.5):
-        q = mu / (mu + 1.0)
-        n_max = max(60, int(math.ceil(math.log(1e-12) / math.log(q))) + 1)
-        n = np.arange(n_max + 1)
-        p = np.asarray(thermal_distribution(mu, n))
-        tail_total = q ** (n_max + 1)
-        tail_mean = q ** (n_max + 1) * ((n_max + 1) - n_max * q) * (mu + 1.0)
-        worst = max(
-            worst,
-            abs(float(p.sum()) + tail_total - 1.0),
-            abs(float(np.sum(n * p)) + tail_mean - mu),
-        )
+    worst = check_thermal((0.004, 0.06, 0.8, 2.5)).measured
     check("thermal-normalisation-and-mean", worst <= 1e-9,
           f"max deviation {worst:.3e} (tol 1e-9)")
 
 
 def test_accept_8b_mode_function_normalisation():
-    worst = 0.0
-    for spec in (synthetic_source(33.0, 52.0), synthetic_source(76.0, 41.0)):
-        for k in (-3, 0, 2):
-            c_s, _ = normalization_constants(spec, k)
-            worst = max(worst, abs(_trapezoid_mode_norm(spec, k) / c_s**2 - 1.0))
+    worst = max(
+        check_mode_normalisation(spec, (-3, 0, 2)).measured
+        for spec in (synthetic_source(33.0, 52.0), synthetic_source(76.0, 41.0))
+    )
     check("mode-function-normalisation", worst <= 1e-9,
           f"max relative deviation {worst:.3e} (tol 1e-9)")
 
@@ -324,13 +289,9 @@ def test_accept_8g_airy_periodicity_and_bounds():
 
 
 def test_accept_8h_lorentzian_sum_accuracy():
-    worst = 0.0
-    for finesse in (30.0, 47.0, 90.0):
-        cav = CavityParams(fsr=77e6, finesse=finesse)
-        nu = np.linspace(0.0, cav.fsr, 100_001)
-        deviation = np.abs(
-            airy_lorentzian_sum(nu, cav, -50, 50) - airy_normalized(nu, cav)
-        )
-        worst = max(worst, float(deviation.max()))
+    worst = max(
+        check_lorentzian_sum("signal", CavityParams(fsr=77e6, finesse=finesse)).measured
+        for finesse in (30.0, 47.0, 90.0)
+    )
     check("lorentzian-sum-vs-airy", worst <= 1e-3,
           f"max deviation {worst:.3e} over finesse >= 30 (tol 1e-3)")

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +246,35 @@ def test_verify_single_mode_reports_exact_equality(hf_config, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "tol=1.0e-12" in out
     assert "exactly" in out
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+
+VERIFY_PASSED = [("PASS", name) for name in (
+    "normalisation-closed-form-oracle", "mode-function-normalisation", "jsa-jsi-grid",
+    "thermal-distribution", "lorentzian-sum-vs-airy-signal", "lorentzian-sum-vs-airy-idler",
+)]
+
+
+@pytest.mark.filterwarnings("ignore::cspdclink.cavity.LowFinesseWarning")
+@pytest.mark.parametrize("source,expected", [
+    ("highfinesse.ini", VERIFY_PASSED),
+    ("lowfinesse.ini", VERIFY_PASSED),
+    (("finesse_signal = 61.0", "finesse_signal = 2.0"),
+     VERIFY_PASSED[:4] + [("WARN", "lorentzian-approximation-signal"), VERIFY_PASSED[5]]),
+    (("modes_per_side = 50", "modes_per_side = 0"), VERIFY_PASSED),
+])
+def test_verify_line_contract(tmp_path, capsys, source, expected):
+    # one "[STATUS] name:" line per check in a fixed order, then the verdict
+    if isinstance(source, str):
+        cfg = SHIPPED / source
+    else:
+        cfg = tmp_path / "edited.ini"
+        cfg.write_text(HF_TEXT.replace(*source))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    *lines, verdict = capsys.readouterr().out.splitlines()
+    assert [re.match(r"\[(\w+)\] ([\w-]+): ", line).groups() for line in lines] == expected
+    assert verdict == "verification passed"
 
 
 def test_solve_command(hf_config, tmp_path, capsys):

@@ -81,6 +81,8 @@ def test_fidelity_targets_alone_are_sufficient(tmp_path):
     (("mu0 = 0.010", "mu0 = nan"), "link.mu0"),
     (("mu0 = 0.010", "mu0 = 0.010, inf"), "link.mu0"),
     (("finesse_signal = 61.0", "finesse_signal = inf"), "source.finesse_signal"),
+    (("finesse_signal = 61.0", "finesse_signal = 5e-324"), "source.finesse_signal"),
+    (("finesse_idler = 83.0", "finesse_idler = 5e-324"), "source.finesse_idler"),
 ])
 def test_field_level_errors(tmp_path, mutation, field):
     old, new = mutation
@@ -186,6 +188,8 @@ JOINED = {
     "source.pump_frequency_mhz": "the signal seed must lie below the pump",
     "source.fsr_signal_mhz": "the cluster half-width falls below modes_per_side",
     "source.fsr_idler_mhz": "the cluster half-width falls below modes_per_side",
+    "source.finesse_signal": "the linewidth fsr / finesse leaves the float range",
+    "source.finesse_idler": "the linewidth fsr / finesse leaves the float range",
     "source.k_signal": "the orders must meet the pump within half an idler FSR",
     "source.k_idler": "the orders must meet the pump within half an idler FSR",
     "source.signal_seed_wavelength_nm": "the seed frequency leaves the float range",

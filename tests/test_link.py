@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cspdclink.checks import degenerate_source
 from cspdclink.link import (
     LinkParams,
     attenuation,
@@ -14,7 +15,6 @@ from cspdclink.link import (
     improvement_ratios,
     solve_mu0_for_fidelity,
 )
-from conftest import make_degenerate_source
 from cspdclink.spectral import mode_table
 
 
@@ -89,7 +89,7 @@ def test_quantities_nonincreasing_in_distance():
 
 
 def test_evaluate_link_single_mode_degenerates():
-    modes = mode_table(make_degenerate_source(2e6))
+    modes = mode_table(degenerate_source(2e6))
     params = LinkParams(l_el_km=25.0, eta_det=0.9, mu0=0.02)
     report = evaluate_link(modes, params)
     assert report.p_multi == pytest.approx(report.p_single_center, rel=1e-12)

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cspdclink.cavity import CavityParams, airy_normalized
-from cspdclink.cli import _trapezoid_mode_norm
+from cspdclink.checks import (
+    central_grid,
+    check_jsa_jsi_grid,
+    check_mode_normalisation,
+    check_normalisation_oracle,
+    degenerate_source,
+)
 from cspdclink.spectral import (
     ModeTable,
     QuadratureError,
@@ -25,7 +31,6 @@ from conftest import (
     HF_FINESSE,
     LF_FINESSE,
     adjacent_overlap_bound,
-    make_degenerate_source,
     make_source,
     mpmath_mode_norm,
     normalized_mode_overlap,
@@ -43,12 +48,12 @@ def test_cluster_detuning_is_linear_in_k(hf_spec):
 
 
 def test_cluster_detuning_zero_on_exact_alignment():
-    spec = make_degenerate_source(2e6)
+    spec = degenerate_source(2e6)
     assert cluster_detuning(spec, 0) == 0.0
 
 
 def test_mode_amplitude_unit_modulus_at_joint_center():
-    spec = make_degenerate_source(2e6)
+    spec = degenerate_source(2e6)
     psi = mode_amplitude_signal(spec, 0, float(spec.signal_center(0)))
     phi = mode_amplitude_idler(spec, 0, float(spec.idler_center(0)))
     assert abs(psi) == pytest.approx(1.0, abs=1e-15)
@@ -57,7 +62,7 @@ def test_mode_amplitude_unit_modulus_at_joint_center():
 
 def test_mode_amplitude_half_max_at_half_linewidth():
     gamma = 2e6
-    spec = make_degenerate_source(gamma)
+    spec = degenerate_source(gamma)
     psi = mode_amplitude_signal(spec, 0, float(spec.signal_center(0)) + gamma / 2.0)
     assert abs(psi) ** 2 == pytest.approx(0.5, rel=1e-12)
     phi = mode_amplitude_idler(spec, 0, float(spec.idler_center(0)) + gamma / 2.0)
@@ -105,22 +110,21 @@ def test_mode_amplitudes_build_the_jsi_summand(hf_spec):
 def test_normalization_degenerate_closed_form(gamma_mhz):
     # oracle: at zero detuning and equal linewidths the squared-modulus
     # profile is a Lorentzian of width gamma, integrating to pi*gamma/2
-    gamma = gamma_mhz * 1e6
-    c_s, c_i = normalization_constants(make_degenerate_source(gamma), 0)
-    exact = math.sqrt(math.pi * gamma / 2.0)
-    assert c_s == pytest.approx(exact, rel=1e-13)
-    assert c_i == pytest.approx(exact, rel=1e-13)
+    assert check_normalisation_oracle((gamma_mhz * 1e6,)).measured <= 1e-13
 
 
 def test_normalization_against_independent_trapezoid(hf_spec):
     # far modes of a finesse-1000 source sit many linewidths off resonance,
-    # where a tail that ignores the peak separation reads 1.6e-5 off
-    wide = make_source(1000.0, 1000.0, side_modes=CLUSTER_HALF_WIDTH)
-    cases = [(hf_spec, k) for k in (-50, -7, 0, 31)] + [(wide, k) for k in (-878, 300, 878)]
-    for spec, k in cases:
-        c_s, _ = normalization_constants(spec, k)
-        independent = _trapezoid_mode_norm(spec, k)
-        assert c_s**2 == pytest.approx(independent, rel=1e-9), k
+    # where a tail that ignores the peak separation reads 1.6e-5 off; the
+    # other wide sources have linewidths 10x to 1000x apart, whose narrower
+    # peak the independent route must resolve
+    cases = [(hf_spec, (-50, -7, 0, 31)),
+             (make_source(1000.0, 1000.0, side_modes=CLUSTER_HALF_WIDTH), (-878, 300, 878)),
+             (make_source(10.0, 10000.0, side_modes=CLUSTER_HALF_WIDTH), (-878, 0, 878))]
+    cases += [(make_source(*finesse), (-50, 0, 50))
+              for finesse in ((10.0, 1000.0), (20.0, 400.0), (30.0, 300.0))]
+    for spec, modes in cases:
+        assert check_mode_normalisation(spec, modes).measured <= 1e-9, spec
 
 
 @pytest.mark.parametrize("k", [0, 25, -50, 199, -400, 878, -878])
@@ -235,13 +239,13 @@ def test_xi_matches_direct_formula(hf_spec):
 
 
 def test_jsa_single_mode_unit_peak():
-    spec = make_degenerate_source(2e6)
+    spec = degenerate_source(2e6)
     value = jsa_approx(spec, float(spec.signal_center(0)), float(spec.idler_center(0)))
     assert abs(value) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_jsa_squared_equals_jsi_for_single_mode():
-    spec = make_degenerate_source(2e6)
+    spec = degenerate_source(2e6)
     rng = np.random.default_rng(1)
     nu_s = float(spec.signal_center(0)) + rng.uniform(-3e8, 3e8, size=(50, 1))
     nu_i = float(spec.idler_center(0)) + rng.uniform(-3e8, 3e8, size=(1, 50))
@@ -250,28 +254,19 @@ def test_jsa_squared_equals_jsi_for_single_mode():
     assert np.max(np.abs(np.abs(amp) ** 2 - intensity)) <= 1e-12
 
 
-def _grid_deviation(spec, n=200, span_modes=4):
-    span = span_modes + 0.5
-    nu_s = np.linspace(spec.signal_center(0) - span * spec.sig.fsr,
-                       spec.signal_center(0) + span * spec.sig.fsr, n)
-    nu_i = np.linspace(spec.idler_center(0) - span * spec.idl.fsr,
-                       spec.idler_center(0) + span * spec.idl.fsr, n)
-    amp = jsa_approx(spec, nu_s[:, None], nu_i[None, :])
-    intensity = jsi_approx(spec, nu_s[:, None], nu_i[None, :])
-    return float(np.max(np.abs(np.abs(amp) ** 2 - intensity))), float(np.max(np.abs(amp)))
+def _amplitude_max(spec):
+    nu_s, nu_i = central_grid(spec)
+    return float(np.max(np.abs(jsa_approx(spec, nu_s[:, None], nu_i[None, :]))))
 
 
 def test_jsa_squared_tracks_jsi_on_grid(hf_spec):
-    deviation, amp_max = _grid_deviation(hf_spec)
-    assert deviation <= 1e-3
-    assert amp_max <= 1.0 + 1e-2
+    assert check_jsa_jsi_grid(hf_spec).measured <= 1e-3
+    assert _amplitude_max(hf_spec) <= 1.0 + 1e-2
 
 
 def test_jsa_jsi_deviation_shrinks_with_finesse(hf_spec, lf_spec):
-    dev_hf, _ = _grid_deviation(hf_spec)
-    dev_lf, lf_amp_max = _grid_deviation(lf_spec)
-    assert dev_hf <= dev_lf
-    assert lf_amp_max <= 1.0 + 1e-2
+    assert check_jsa_jsi_grid(hf_spec).measured <= check_jsa_jsi_grid(lf_spec).measured
+    assert _amplitude_max(lf_spec) <= 1.0 + 1e-2
 
 
 def test_jsi_cross_mode_peaks_are_suppressed(hf_spec):
@@ -291,7 +286,7 @@ def test_jsi_nonnegative_and_peaked_on_modes(hf_spec):
     values = jsi_approx(hf_spec, nu_s, nu_i)
     assert np.all(values >= 0.0)
     # unit peak needs zero cluster detuning on the probed mode
-    spec = make_degenerate_source(2e6, side_modes=2)
+    spec = degenerate_source(2e6, side_modes=2)
     on_peak = jsi_approx(
         spec, float(spec.signal_center(1)), float(spec.idler_center(1))
     )
@@ -301,7 +296,7 @@ def test_jsi_nonnegative_and_peaked_on_modes(hf_spec):
 def test_jsi_summand_symmetry_under_center_exchange():
     # equal linewidths and zero detuning: reflecting both frequencies about
     # their mode centres leaves each summand unchanged
-    spec = make_degenerate_source(2e6)
+    spec = degenerate_source(2e6)
     rng = np.random.default_rng(21)
     ds = rng.uniform(-5e7, 5e7, size=30)
     di = rng.uniform(-5e7, 5e7, size=30)
@@ -327,7 +322,7 @@ def test_mode_overlap_falls_with_separation_and_finesse(hf_spec, lf_spec):
 def test_mode_overlap_matches_closed_form_on_degenerate_source(gamma, n):
     # equal widths and zero detuning: the overlap of modes n FSR apart is the
     # elliptic norm integral at detuning n * FSR over pi * gamma / 2
-    spec = make_degenerate_source(gamma)
+    spec = degenerate_source(gamma)
     expected = adjacent_overlap_bound(gamma, n * spec.sig.fsr)
     assert normalized_mode_overlap(spec, 0, n) == pytest.approx(expected, rel=1e-3)
 

@@ -1,15 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cspdclink.tmsv import (
-    mean_photon_number,
-    squeeze_ratio,
-    thermal_distribution,
-)
+from cspdclink.checks import check_thermal
+from cspdclink.tmsv import mean_photon_number, thermal_distribution
 
 
 def test_thermal_distribution_values():
@@ -18,22 +13,9 @@ def test_thermal_distribution_values():
     assert thermal_distribution(1.0, 1) == pytest.approx(0.25, rel=1e-15)
 
 
-def _truncated_sums(mu):
-    # cut once the geometric tail drops below 1e-12, then add it exactly
-    q = mu / (mu + 1.0)
-    n_max = max(60, int(math.ceil(math.log(1e-12) / math.log(q))) + 1) if mu else 60
-    n = np.arange(n_max + 1)
-    p = thermal_distribution(mu, n)
-    tail_total = q ** (n_max + 1)
-    tail_mean = q ** (n_max + 1) * ((n_max + 1) - n_max * q) * (mu + 1.0)
-    return float(p.sum()) + tail_total, float(np.sum(n * p)) + tail_mean
-
-
 @pytest.mark.parametrize("mu", [0.0, 0.01, 0.1, 1.0, 5.0])
 def test_thermal_normalization_and_mean(mu):
-    total, mean = _truncated_sums(mu)
-    assert abs(total - 1.0) <= 1e-9
-    assert abs(mean - mu) <= 1e-9
+    assert check_thermal((mu,)).measured <= 1e-9
 
 
 def test_thermal_distribution_rejects_bad_input():
@@ -81,14 +63,13 @@ def test_mean_photon_number_rejects_bad_input():
 
 
 def test_squeeze_ratio_center_is_exactly_one(hf_modes):
-    assert squeeze_ratio(hf_modes, 0) == 1.0
+    assert hf_modes.ratio[hf_modes.index_of(0)] == 1.0
 
 
 def test_squeeze_ratio_envelope_and_square_sum(hf_modes):
-    ratios = np.array([squeeze_ratio(hf_modes, int(k)) for k in hf_modes.k])
-    assert np.all(ratios <= 1.0)
-    assert np.all(ratios > 0.0)
-    assert np.sum(ratios**2) == pytest.approx(71.1, abs=0.5)
+    assert np.all(hf_modes.ratio <= 1.0)
+    assert np.all(hf_modes.ratio > 0.0)
+    assert np.sum(hf_modes.ratio**2) == pytest.approx(71.1, abs=0.5)
 
 
 def test_multiplexed_mean_photon_numbers(hf_modes, lf_modes):
