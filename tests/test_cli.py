@@ -324,6 +324,21 @@ def test_unreachable_target_is_a_numeric_error(tmp_path, capsys):
     assert "achievable range" in capsys.readouterr().err
 
 
+def test_attenuation_underflow_is_a_numeric_error(tmp_path, capsys):
+    # 0.2 dB/km over 50000 km per arm: 10^-10000 underflows to 0.0
+    text = HF_TEXT.replace("lengths_km = 25, 50, 100", "lengths_km = 25 100000").replace(
+        "mu0_by_length = 0.010 0.054 0.075; 0.010 0.044 0.075; 0.010 0.038 0.075",
+        "mu0 = 0.01",
+    )
+    cfg = tmp_path / "far.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    code = main(["table", "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert code == EXIT_NUMERIC_ERROR
+    assert capsys.readouterr().err == "numeric failure: eta_att=0.0: must lie in (0, 1]\n"
+    assert not out.exists()
+
+
 def test_config_error_exit(tmp_path, capsys):
     cfg = tmp_path / "broken.ini"
     cfg.write_text("[source]\nfsr_signal_mhz = -3\n")

@@ -128,6 +128,13 @@ def test_log_space_product_matches_naive(hf_modes):
     assert abs(report.p_multi - naive) <= 1e-12
 
 
+def test_evaluate_link_rejects_underflowed_attenuation(hf_modes):
+    params = LinkParams(l_el_km=100000.0, eta_det=0.9, mu0=0.01)
+    assert params.eta_att == 0.0
+    with pytest.raises(ValueError, match=r"eta_att=0\.0: must lie in \(0, 1\]"):
+        evaluate_link(hf_modes, params)
+
+
 def test_solver_round_trip():
     target = fidelity_single(0.02, attenuation(25.0, 0.2), 0.9)
     mu0 = solve_mu0_for_fidelity(target, 25.0, 0.9)
