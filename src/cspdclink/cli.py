@@ -40,7 +40,7 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 EXIT_VERIFY_FAILED = 4
 
-FIDELITY_ROUND_TRIP_TOL = 1e-4
+FIDELITY_ROUND_TRIP_TOL = 1e-12
 
 
 def _write_artifact(cfg: RunConfig, args, stem: str, columns, extra_echo=()) -> Path:

@@ -11,15 +11,22 @@ aggregate heralding probability is 1 - prod_k (1 - p_k).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from . import tmsv
 from .spectral import ModeTable
 
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
+
+# The solve stops once a Newton step or the bracket is within _SOLVE_RTOL of
+# the root.  The root is at least (1 - F) / 3 >= 2^-55 for any float F < 1,
+# so from [0, mu_max < 2^1024] bisection alone meets that within
+# 1024 + 55 + 50 halvings; the cap leaves a margin above that count.
+_SOLVE_RTOL = 4.0 * sys.float_info.epsilon
+_SOLVE_MAX_ITERATIONS = 1200
 
 
 def attenuation(l_el_km: float, alpha_att_db_per_km: float) -> float:
@@ -91,18 +98,31 @@ def _check_efficiency(name: str, value: float) -> None:
         raise ValueError(f"{name}={value}: must lie in (0, 1]")
 
 
-def heralding_probability_single(mu, eta_att: float, eta_det: float):
-    """Probability that exactly one midpoint detector clicks in one trial.
-
-    2 mu' / (mu' + 1)^2 with mu' = eta_att eta_det mu; never exceeds 1/2.
-    """
+def _checked_loaded_mean(mu, eta_att: float, eta_det: float):
+    """(mu, mu') as float arrays after checking the efficiencies and mu >= 0."""
     _check_efficiency("eta_att", eta_att)
     _check_efficiency("eta_det", eta_det)
     mu_arr = np.asarray(mu, dtype=float)
     if np.any(mu_arr < 0.0):
         raise ValueError("mu must be non-negative")
-    mu_p = eta_att * eta_det * mu_arr
-    out = 2.0 * mu_p / (mu_p + 1.0) ** 2
+    return mu_arr, eta_att * eta_det * mu_arr
+
+
+def _heralding(mu_p):
+    return 2.0 * mu_p / (mu_p + 1.0) ** 2
+
+
+def _fidelity(mu, mu_p):
+    return (mu_p + 1.0) ** 2 / (mu + 1.0) ** 3
+
+
+def heralding_probability_single(mu, eta_att: float, eta_det: float):
+    """Probability that exactly one midpoint detector clicks in one trial.
+
+    2 mu' / (mu' + 1)^2 with mu' = eta_att eta_det mu; never exceeds 1/2.
+    """
+    _, mu_p = _checked_loaded_mean(mu, eta_att, eta_det)
+    out = _heralding(mu_p)
     return float(out) if out.ndim == 0 else out
 
 
@@ -111,36 +131,34 @@ def fidelity_single(mu, eta_att: float, eta_det: float):
 
     (mu' + 1)^2 / (mu + 1)^3; equals 1 at mu = 0 and decreases in mu.
     """
-    _check_efficiency("eta_att", eta_att)
-    _check_efficiency("eta_det", eta_det)
-    mu_arr = np.asarray(mu, dtype=float)
-    if np.any(mu_arr < 0.0):
-        raise ValueError("mu must be non-negative")
-    mu_p = eta_att * eta_det * mu_arr
-    out = (mu_p + 1.0) ** 2 / (mu_arr + 1.0) ** 3
+    mu_arr, mu_p = _checked_loaded_mean(mu, eta_att, eta_det)
+    out = _fidelity(mu_arr, mu_p)
     return float(out) if out.ndim == 0 else out
 
 
 def evaluate_link(modes: ModeTable, params: LinkParams) -> LinkReport:
     """Per-mode heralding figures and their multiplexed aggregates.
 
-    The survival product 1 - p_multi accumulates in log space, so hundreds of
-    modes lose no precision.
+    ``LinkParams`` has checked eta_det and mu0, and mu_k >= 0 follows from
+    mu0 >= 0, so only the computed eta_att is checked here.  The survival
+    product 1 - p_multi accumulates in log space, so hundreds of modes lose
+    no precision.
     """
-    mu_k = np.asarray(tmsv.mean_photon_number(params.mu0, modes.ratio))
     eta_att = params.eta_att
-    p_k = np.asarray(heralding_probability_single(mu_k, eta_att, params.eta_det))
-    f_k = np.asarray(fidelity_single(mu_k, eta_att, params.eta_det))
-    p_multi = -math.expm1(float(np.sum(np.log1p(-p_k))))
+    _check_efficiency("eta_att", eta_att)
+    mu_k = np.asarray(tmsv.mean_photon_number(params.mu0, modes.ratio))
+    mu_p = eta_att * params.eta_det * mu_k
+    p_k = _heralding(mu_p)
+    f_k = _fidelity(mu_k, mu_p)
     return LinkReport(
         params=params,
         k=modes.k.copy(),
         mu_k=mu_k,
         p_single_k=p_k,
         f_k=f_k,
-        p_multi=p_multi,
-        mu_multi=float(np.sum(mu_k)),
-        f_min=float(np.min(f_k)),
+        p_multi=-math.expm1(float(np.log1p(-p_k).sum())),
+        mu_multi=float(mu_k.sum()),
+        f_min=float(f_k.min()),
     )
 
 
@@ -153,9 +171,15 @@ def solve_mu0_for_fidelity(
 ) -> float:
     """Reference mean photon number reaching a centre-mode fidelity target.
 
-    Bisection on the strictly decreasing mu0 -> fidelity map over
-    [0, mu_max]; the returned mu0 reproduces the target to well within 1e-6
-    absolute in fidelity.
+    With eta = eta_att eta_det, F(mu) = target has one root in (0, mu_max):
+    the root of the cubic (eta mu + 1)^2 - F (mu + 1)^3, expanded as
+    c0 + mu (c1 + mu (c2 + mu c3)).  Its constant term 1 - F is exact, so
+    the root keeps full relative accuracy as F -> 1.  Newton steps start at
+    the linearised root c0 / (3 - 2 eta) inside a bracket kept from the sign
+    of the cubic; a step that leaves the bracket is replaced by bisection.
+    The result is within a few ulp of the exact root for the float eta, and
+    reproduces the target to about 1e-15.  Raises ``ValueError`` for an
+    unreachable target and ``RuntimeError`` if the iteration cap is reached.
     """
     eta_att = attenuation(l_el_km, alpha_att_db_per_km)
     f_floor = fidelity_single(mu_max, eta_att, eta_det)
@@ -164,13 +188,35 @@ def solve_mu0_for_fidelity(
             f"fidelity target {f_target} outside the achievable range "
             f"({f_floor:.6f}, 1.0) for mu0 in [0, {mu_max}]"
         )
-    mu0 = bisect(
-        lambda mu: fidelity_single(mu, eta_att, eta_det) - f_target,
-        0.0,
-        mu_max,
-        xtol=1e-12,
+    eta = eta_att * eta_det
+    c0 = 1.0 - f_target
+    c1 = 2.0 * eta - 3.0 * f_target
+    c2 = eta * eta - 3.0 * f_target
+    c3 = -f_target
+    lo, hi = 0.0, mu_max
+    mu = c0 / (3.0 - 2.0 * eta)
+    if not mu < hi:
+        mu = 0.5 * hi
+    for _ in range(_SOLVE_MAX_ITERATIONS):
+        g = c0 + mu * (c1 + mu * (c2 + mu * c3))
+        if g > 0.0:
+            lo = mu
+        elif g < 0.0:
+            hi = mu
+        else:
+            return mu
+        step = g / (c1 + mu * (2.0 * c2 + 3.0 * c3 * mu))
+        if abs(step) <= _SOLVE_RTOL * mu:
+            return mu - step
+        mu -= step
+        if not lo < mu < hi:
+            mu = 0.5 * (lo + hi)
+            if hi - lo <= _SOLVE_RTOL * hi:
+                return mu
+    raise RuntimeError(
+        f"fidelity solve for target {f_target} at L={l_el_km} km did not converge "
+        f"in {_SOLVE_MAX_ITERATIONS} iterations"
     )
-    return float(mu0)
 
 
 def improvement_ratios(report: LinkReport) -> tuple[float, float]:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cspdclink.checks import degenerate_source
@@ -138,7 +138,50 @@ def test_evaluate_link_rejects_underflowed_attenuation(hf_modes):
 def test_solver_round_trip():
     target = fidelity_single(0.02, attenuation(25.0, 0.2), 0.9)
     mu0 = solve_mu0_for_fidelity(target, 25.0, 0.9)
-    assert mu0 == pytest.approx(0.02, abs=1e-6)
+    assert mu0 == pytest.approx(0.02, rel=1e-12)
+
+
+def assert_solve_matches_mpmath_root(target, length, eta_det, alpha):
+    """The solved mu0 against a 40-digit root of (eta mu + 1)^2 - F (mu + 1)^3
+    on (0, 1), with eta the float eta_att * eta_det the package uses:
+    forward error at most 2e-15 relative, and the exact fidelity at mu0
+    within 1e-15 of the target."""
+    import mpmath
+
+    mu0 = solve_mu0_for_fidelity(target, length, eta_det, alpha)
+    eta = attenuation(length, alpha) * eta_det
+    with mpmath.workdps(40):
+        f, e, mu = mpmath.mpf(target), mpmath.mpf(eta), mpmath.mpf(mu0)
+        root = mpmath.findroot(lambda m: (e * m + 1) ** 2 - f * (m + 1) ** 3,
+                               (mpmath.mpf(0), mpmath.mpf(1)), solver="anderson")
+        forward = float(abs(mu - root) / root)
+        backward = float(abs((e * mu + 1) ** 2 / (mu + 1) ** 3 - f))
+    assert forward <= 2e-15, (mu0, float(root))
+    assert backward <= 1e-15, (mu0, float(root))
+
+
+@given(st.floats(min_value=0.0, max_value=500.0),
+       st.floats(min_value=0.05, max_value=1.0),
+       st.sampled_from([0.0, 0.2, 0.35]),
+       st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+       st.floats(min_value=1.0, max_value=15.0),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_solver_matches_mpmath_root(length, eta_det, alpha, w, u, near_one):
+    # targets uniform in (F_floor, 1), or at 1 - F = 10^-u
+    f_floor = fidelity_single(1.0, attenuation(length, alpha), eta_det)
+    target = 1.0 - 10.0**-u if near_one else f_floor + w * (1.0 - f_floor)
+    assume(f_floor < target < 1.0)
+    assert_solve_matches_mpmath_root(target, length, eta_det, alpha)
+
+
+@pytest.mark.parametrize("length,eta_det,alpha", [
+    (25.0, 0.9, 0.2), (0.0, 1.0, 0.0), (500.0, 0.05, 0.35),
+])
+def test_solver_matches_mpmath_root_at_the_range_ends(length, eta_det, alpha):
+    f_floor = fidelity_single(1.0, attenuation(length, alpha), eta_det)
+    assert_solve_matches_mpmath_root(math.nextafter(f_floor, 1.0), length, eta_det, alpha)
+    assert_solve_matches_mpmath_root(1.0 - 2.0**-52, length, eta_det, alpha)
 
 
 @pytest.mark.parametrize("length,target,expected", [
