@@ -55,19 +55,19 @@ GOLDEN = {
     "targets/modes.json":
         "26d2e92da3974a513223f6eac843ceda188e569a1ec5e4700cf0bb38658a2bb9",
     "targets/solve.csv":
-        "a2d1efb79e770d3e3a934d763ba374a24da3e686484d900ab5bc36f1deb1a25c",
+        "2ae30c53d0957cb8d3a8df8791dccd095b0212f5a6ef5973a7be6233268b393b",
     "targets/solve.json":
-        "350121d2586bff8f5231f80738e0b01d4ed504975b14c5850d858c80af5e898d",
+        "a596e075e39d583d5beb88ec260c38df7a8a2a0e63461e793cb4980933db072f",
     "targets/spectrum.csv":
         "41420f9d321e6779624644a9576b5defaabb0cfa70b9bef98a8e24c7b78b8f5a",
     "targets/spectrum.json":
         "70b8e8e7cf46ec8241ad85fb173e86c7fee0a8fad795e69edc51be03d40a84f4",
     "targets/table.csv":
-        "5883527d53b801f2811f8d42436b97371eab3bd9bc3abea19b4134dd31863c4c",
+        "5c6978cc420898e5b79f9c929451af5dd6cb1d0fd9eb771489722e1282bedf5f",
     "targets/table.json":
-        "b71b89622cc12302c1bc5c230ed709550a887f9b19d57e337da59ac856705722",
+        "070202db0526ceaead26e57c3cf5a0db0e79884423bcc22d0187b2a146de2bd3",
     "targets/table_full.csv":
-        "0b96b9dbcef4fcc054eeb37ae16c597b33b8c8148a177d7a8fc0a3573f70f000",
+        "cd2e395655397cfb49845a614dc3d03caa8c7ed5b7f3815704344e9cabee55f9",
 }
 
 
