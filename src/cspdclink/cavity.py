@@ -57,7 +57,7 @@ class CavityParams:
                 f"finesse={self.finesse:g} is below {LORENTZIAN_FINESSE_FLOOR:g}: "
                 "Lorentzian-sum treatment of the resonance profile is not trusted",
                 LowFinesseWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass-generated __init__ to the caller
             )
 
     @property

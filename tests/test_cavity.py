@@ -207,8 +207,10 @@ def test_airy_lorentzian_sum_rejects_empty_window():
 
 
 def test_low_finesse_warns_once_at_construction():
-    with pytest.warns(LowFinesseWarning):
+    with pytest.warns(LowFinesseWarning) as record:
         low = CavityParams(fsr=1e8, finesse=5.0)
+    # the warning names the line that built the cavity
+    assert [w.filename for w in record] == [__file__]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         airy_lorentzian_sum(0.0, low, -5, 5)
