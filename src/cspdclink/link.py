@@ -21,10 +21,10 @@ from .spectral import ModeTable
 
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
 
-# The solve stops once a Newton step or the bracket is within _SOLVE_RTOL of
-# the root.  The root is at least (1 - F) / 3 >= 2^-55 for any float F < 1,
-# so from [0, mu_max < 2^1024] bisection alone meets that within
-# 1024 + 55 + 50 halvings; the cap leaves a margin above that count.
+# The solve stops once a Newton step or the bracket width falls to
+# _SOLVE_RTOL = 2^-50 relative.  The root is at least (1 - F) / 3 > 2^-55 for
+# any float F < 1, so from [0, mu_max < 2^1024] bisection alone gets there
+# within 1024 + 55 + 50 = 1129 halvings; the cap sits above that count.
 _SOLVE_RTOL = 4.0 * sys.float_info.epsilon
 _SOLVE_MAX_ITERATIONS = 1200
 
@@ -211,8 +211,8 @@ def solve_mu0_for_fidelity(
         mu -= step
         if not lo < mu < hi:
             mu = 0.5 * (lo + hi)
-            if hi - lo <= _SOLVE_RTOL * hi:
-                return mu
+        if hi - lo <= _SOLVE_RTOL * hi:
+            return mu
     raise RuntimeError(
         f"fidelity solve for target {f_target} at L={l_el_km} km did not converge "
         f"in {_SOLVE_MAX_ITERATIONS} iterations"

@@ -128,6 +128,21 @@ def test_log_space_product_matches_naive(hf_modes):
     assert abs(report.p_multi - naive) <= 1e-12
 
 
+def test_evaluate_link_maps_photon_numbers_once(hf_modes, monkeypatch):
+    # the traced tmsv layer sees one call per link evaluation
+    from cspdclink import tmsv
+
+    original, calls = tmsv.mean_photon_number, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(tmsv, "mean_photon_number", counted)
+    evaluate_link(hf_modes, LinkParams(l_el_km=25.0, eta_det=0.9, mu0=0.01))
+    assert len(calls) == 1
+
+
 def test_evaluate_link_rejects_underflowed_attenuation(hf_modes):
     params = LinkParams(l_el_km=100000.0, eta_det=0.9, mu0=0.01)
     assert params.eta_att == 0.0
@@ -200,6 +215,14 @@ def test_solver_rejects_unreachable_target():
         solve_mu0_for_fidelity(0.05, 25.0, 0.9)
     with pytest.raises(ValueError, match="achievable range"):
         solve_mu0_for_fidelity(1.0, 25.0, 0.9)
+
+
+def test_solver_raises_instead_of_returning_an_unconverged_root(monkeypatch):
+    import cspdclink.link as link
+
+    monkeypatch.setattr(link, "_SOLVE_MAX_ITERATIONS", 2)
+    with pytest.raises(RuntimeError, match="did not converge in 2 iterations"):
+        solve_mu0_for_fidelity(0.9, 100.0, 0.9)
 
 
 def test_improvement_ratios_guard(hf_modes):
