@@ -129,7 +129,7 @@ def test_log_space_product_matches_naive(hf_modes):
 
 
 def test_evaluate_link_maps_photon_numbers_once(hf_modes, monkeypatch):
-    # the traced tmsv layer sees one call per link evaluation
+    # mu_k is mapped once per evaluation and shared by p_k and f_k
     from cspdclink import tmsv
 
     original, calls = tmsv.mean_photon_number, []
