@@ -118,11 +118,11 @@ def find_main_cluster(
     fewer orders than zeros.  The seed only needs to be accurate to a
     fraction of the cluster spacing.
     """
-    base_s, _ = resonance_indices(nu_s_seed, nu_p0, sig, idl)
+    base_s, base_i = resonance_indices(nu_s_seed, nu_p0, sig, idl)
     dfsr = sig.fsr - idl.fsr
     if dfsr == 0.0:
         # equal FSRs: every signal order is an equally good cluster centre
-        return resonance_indices(nu_s_seed, nu_p0, sig, idl)
+        return base_s, base_i
     halfwidth = math.ceil(0.5 * idl.fsr / abs(dfsr)) + 2
     lo, hi = base_s - halfwidth, base_s + halfwidth
     # zero j of the triangle wave sits where (nu_p0 - m dfsr) / FSR_I = j;

@@ -7,6 +7,10 @@ number from fidelity targets).  All physics parameters come from one config
 file; artifacts embed the resolved configuration and are byte-stable for a
 given config.
 
+Each ``build_<command>`` returns its :class:`Artifact` list and a summary
+line whose ``{paths}`` names the files written; :func:`main` alone resolves
+the output directory and format, writes the artifacts and prints.
+
 Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 4 verification failure.
 """
@@ -17,6 +21,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,19 +48,25 @@ EXIT_VERIFY_FAILED = 4
 FIDELITY_ROUND_TRIP_TOL = 1e-12
 
 
-def _write_artifact(cfg: RunConfig, args, stem: str, columns, extra_echo=()) -> Path:
-    """Write one artifact and return its path.
+class Artifact(NamedTuple):
+    """One output file: ordered ``(name, values)`` columns of Python scalars
+    (``None`` is an empty cell), the ``(key, value)`` echo lines that follow
+    the configuration, and the output formats the file is written in."""
 
-    ``columns`` is an ordered list of ``(name, values)`` pairs of Python
-    scalars; ``None`` is an empty cell.  Only the requested format is built:
-    CSV embeds the resolved configuration as ``# key = value`` lines and
-    renders each cell with ``str`` (for a float, its round-trip ``repr``);
-    JSON embeds it as a ``config`` object beside one object per row.
+    stem: str
+    columns: list
+    echo: tuple = ()
+    formats: tuple[str, ...] = ("csv", "json")
+
+
+def _write_artifact(out: Path, fmt: str, echo, artifact: Artifact) -> Path:
+    """Write one artifact in ``fmt`` and return its path.
+
+    CSV embeds ``echo`` as ``# key = value`` lines and renders each cell
+    with ``str`` (for a float, its round-trip ``repr``); JSON embeds it as a
+    ``config`` object beside one object per row.
     """
-    out = Path(args.out) if args.out else Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    fmt = _out_format(cfg, args)
-    echo = (("tool", f"cspdclink {__version__}"),) + cfg.echo + tuple(extra_echo)
+    echo, columns = echo + artifact.echo, artifact.columns
     names = [name for name, _ in columns]
     if fmt == "csv":
         cells = [["" if v is None else str(v) for v in values] for _, values in columns]
@@ -66,13 +77,9 @@ def _write_artifact(cfg: RunConfig, args, stem: str, columns, extra_echo=()) -> 
     else:
         rows = [dict(zip(names, row)) for row in zip(*(values for _, values in columns))]
         text = json.dumps({"config": dict(echo), "rows": rows}, indent=2) + "\n"
-    path = out / f"{stem}.{fmt}"
+    path = out / f"{artifact.stem}.{fmt}"
     path.write_text(text, encoding="utf-8")
     return path
-
-
-def _out_format(cfg: RunConfig, args) -> str:
-    return args.format if args.format else cfg.out_format
 
 
 def _scenarios(cfg: RunConfig):
@@ -99,7 +106,7 @@ def _scenarios(cfg: RunConfig):
             yield length, mu0, target, achieved
 
 
-def cmd_modes(cfg: RunConfig, args) -> int:
+def build_modes(cfg: RunConfig, args) -> tuple[list[Artifact], str]:
     table = mode_table(cfg.source)
     columns = [
         ("k", table.k.tolist()),
@@ -111,10 +118,9 @@ def cmd_modes(cfg: RunConfig, args) -> int:
         (f"mu_k_at_mu0_{mu0!r}", np.asarray(mean_photon_number(mu0, table.ratio)).tolist())
         for mu0 in cfg.mu0_values
     ]
-    path = _write_artifact(cfg, args, "modes", columns)
-    if not args.quiet:
-        print(f"wrote {path} ({table.k.size} modes, envelope max at k={table.envelope_argmax()})")
-    return EXIT_OK
+    peak = table.envelope_argmax()
+    summary = f"wrote {{paths}} ({table.k.size} modes, envelope max at k={peak})"
+    return [Artifact("modes", columns)], summary
 
 
 _TABLE_NAMES = (
@@ -123,7 +129,7 @@ _TABLE_NAMES = (
 )
 
 
-def cmd_table(cfg: RunConfig, args) -> int:
+def build_table(cfg: RunConfig, args) -> tuple[list[Artifact], str]:
     table = mode_table(cfg.source)
     rows = []
     for length, mu0, target, _ in _scenarios(cfg):
@@ -151,21 +157,19 @@ def cmd_table(cfg: RunConfig, args) -> int:
         if name == "heralding_prob" else (name, values)
         for name, values in full
     ]
-    if _out_format(cfg, args) == "csv":
-        # table.csv: the figures to table_sigfigs, fidelity to one digit more
-        sig = cfg.table_sigfigs
-        rounded = pct[:4] + [
-            (name, [None if v is None else f"{v:.{sig + (name == 'fidelity')}g}"
-                    for v in values])
-            for name, values in pct[4:]
-        ]
-        paths = [_write_artifact(cfg, args, "table", rounded),
-                 _write_artifact(cfg, args, "table_full", full)]
-    else:
-        paths = [_write_artifact(cfg, args, "table", pct)]
-    if not args.quiet:
-        print(f"wrote {' and '.join(map(str, paths))} ({len(rows)} rows)")
-    return EXIT_OK
+    # table.csv: the figures to table_sigfigs, fidelity to one digit more;
+    # JSON cells keep every digit, so JSON gets only table.json
+    sig = cfg.table_sigfigs
+    rounded = pct[:4] + [
+        (name, [None if v is None else f"{v:.{sig + (name == 'fidelity')}g}"
+                for v in values])
+        for name, values in pct[4:]
+    ]
+    return [
+        Artifact("table", rounded, formats=("csv",)),
+        Artifact("table_full", full, formats=("csv",)),
+        Artifact("table", pct, formats=("json",)),
+    ], f"wrote {{paths}} ({len(rows)} rows)"
 
 
 def _parse_window(raw: str) -> tuple[int, int]:
@@ -181,7 +185,7 @@ def _parse_window(raw: str) -> tuple[int, int]:
         ) from None
 
 
-def cmd_spectrum(cfg: RunConfig, args) -> int:
+def build_spectrum(cfg: RunConfig, args) -> tuple[list[Artifact], str]:
     spec = cfg.source
     window = _parse_window(args.window)
     n_points = args.points if args.points else cfg.spectrum_points
@@ -193,30 +197,20 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     ]
     if args.jsi_slice:
         columns.append(("jsi_approx", np.asarray(jsi_approx(spec, nu, spec.nu_p0 - nu)).tolist()))
-    path = _write_artifact(cfg, args, "spectrum", columns, (
-        ("window_modes", f"{window[0]}:{window[1]}"),
-        ("n_points", str(n_points)),
-    ))
-    if not args.quiet:
-        print(f"wrote {path} ({nu.size} samples over modes {window[0]}..{window[1]})")
-    return EXIT_OK
+    echo = (("window_modes", f"{window[0]}:{window[1]}"), ("n_points", str(n_points)))
+    summary = f"wrote {{paths}} ({nu.size} samples over modes {window[0]}..{window[1]})"
+    return [Artifact("spectrum", columns, echo)], summary
 
 
-def cmd_solve(cfg: RunConfig, args) -> int:
+def build_solve(cfg: RunConfig, args) -> tuple[list[Artifact], str]:
     if all(not group for group in cfg.fidelity_targets_by_length):
         raise ConfigError("link.fidelity_targets: required for the solve command")
-    rows = []
-    for length, mu0, target, achieved in _scenarios(cfg):
-        if target is None:
-            continue
-        rows.append((length, target, mu0, achieved))
-        if not args.quiet:
-            print(f"L={length:g} km  F_target={target:g}  ->  mu0={mu0:.6f}")
+    rows = [(length, target, mu0, achieved)
+            for length, mu0, target, achieved in _scenarios(cfg) if target is not None]
     names = ("l_el_km", "fidelity_target", "mu0", "fidelity_achieved")
-    path = _write_artifact(cfg, args, "solve", list(zip(names, zip(*rows))))
-    if not args.quiet:
-        print(f"wrote {path}")
-    return EXIT_OK
+    lines = [f"L={length:g} km  F_target={target:g}  ->  mu0={mu0:.6f}"
+             for length, target, mu0, _ in rows]
+    return [Artifact("solve", list(zip(names, zip(*rows))))], "\n".join(lines + ["wrote {paths}"])
 
 
 def _render(record: Record) -> str:
@@ -227,15 +221,6 @@ def _render(record: Record) -> str:
     suffix = f" ({record.note})" if record.note else ""
     return (f"[{'PASS' if record.passed else 'FAIL'}] {record.name}: "
             f"measured={record.measured:.3e} tol={record.tol:.1e}{suffix}")
-
-
-def cmd_verify(cfg: RunConfig, args) -> int:
-    records = verify_records(cfg.source)
-    for record in records:
-        print(_render(record))
-    failed = not all(record.passed for record in records)
-    print(f"verification {'FAILED' if failed else 'passed'}")
-    return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,31 +265,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "modes": cmd_modes,
-    "table": cmd_table,
-    "spectrum": cmd_spectrum,
-    "verify": cmd_verify,
-    "solve": cmd_solve,
+_BUILDERS = {
+    "modes": build_modes,
+    "table": build_table,
+    "spectrum": build_spectrum,
+    "solve": build_solve,
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Build first, so that a failure writes and prints nothing but its cause."""
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    try:
-        return _COMMANDS[args.command](cfg, args)
+        if args.command == "verify":
+            records = verify_records(cfg.source)
+        else:
+            artifacts, summary = _BUILDERS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (ValueError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
+    if args.command == "verify":
+        # the records are the command's result, so --quiet keeps them
+        for record in records:
+            print(_render(record))
+        failed = not all(record.passed for record in records)
+        print(f"verification {'FAILED' if failed else 'passed'}")
+        return EXIT_VERIFY_FAILED if failed else EXIT_OK
+    out = Path(args.out or cfg.out_dir)
+    fmt = args.format or cfg.out_format
+    out.mkdir(parents=True, exist_ok=True)
+    echo = (("tool", f"cspdclink {__version__}"),) + cfg.echo
+    paths = [_write_artifact(out, fmt, echo, artifact)
+             for artifact in artifacts if fmt in artifact.formats]
+    if not args.quiet:
+        print(summary.format(paths=" and ".join(map(str, paths))))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

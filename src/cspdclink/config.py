@@ -58,8 +58,8 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "lengths_km": Key("floats", "[0, inf)", REQUIRED),
         "attenuation_db_per_km": Key("float", "[0, inf)", DEFAULT_ATTENUATION_DB_PER_KM),
         "detector_efficiency": Key("float", "(0, 1]", REQUIRED),
-        "mu0": Key("floats", "[0, inf)", ()),
-        "mu0_by_length": Key("groups", "[0, inf)"),
+        "mu0": Key("floats", "[0, 1]", ()),
+        "mu0_by_length": Key("groups", "[0, 1]"),
         "fidelity_targets": Key("floats", "(0, 1)", ()),
         "fidelity_targets_by_length": Key("groups", "(0, 1)"),
     },

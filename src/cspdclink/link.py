@@ -182,13 +182,19 @@ def solve_mu0_for_fidelity(
     unreachable target and ``RuntimeError`` if the iteration cap is reached.
     """
     eta_att = attenuation(l_el_km, alpha_att_db_per_km)
-    f_floor = fidelity_single(mu_max, eta_att, eta_det)
+    _check_efficiency("eta_att", eta_att)
+    _check_efficiency("eta_det", eta_det)
+    if not 0.0 < mu_max < math.inf:
+        raise ValueError(f"mu_max={mu_max}: must be positive and finite")
+    eta = eta_att * eta_det
+    # F(mu_max) as r^2 / (mu_max + 1): no intermediate overflows for any float mu_max
+    r = (eta * mu_max + 1.0) / (mu_max + 1.0)
+    f_floor = r * r / (mu_max + 1.0)
     if not f_floor < f_target < 1.0:
         raise ValueError(
             f"fidelity target {f_target} outside the achievable range "
             f"({f_floor:.6f}, 1.0) for mu0 in [0, {mu_max}]"
         )
-    eta = eta_att * eta_det
     c0 = 1.0 - f_target
     c1 = 2.0 * eta - 3.0 * f_target
     c2 = eta * eta - 3.0 * f_target
@@ -221,9 +227,14 @@ def solve_mu0_for_fidelity(
 
 def improvement_ratios(report: LinkReport) -> tuple[float, float]:
     """Multiplexed-over-single ratios (mu_multi / mu0, p_multi / p_single_0)."""
-    p0 = report.p_single_center
-    if p0 == 0.0:
+    mu0, p0 = report.params.mu0, report.p_single_center
+    if mu0 == 0.0:
         raise ValueError(
             "improvement ratios undefined: reference mode never heralds (mu0 = 0)"
         )
-    return report.mu_multi / report.params.mu0, report.p_multi / p0
+    if p0 == 0.0:
+        raise ValueError(
+            f"improvement ratios undefined: the reference-mode heralding probability "
+            f"at mu0 = {mu0!r} rounds to 0"
+        )
+    return report.mu_multi / mu0, report.p_multi / p0

@@ -182,6 +182,21 @@ def test_find_main_cluster_equals_the_scan_for_far_apart_fsrs(ratio):
     assert find_main_cluster(*args) == scan_main_cluster(*args)
 
 
+def test_find_main_cluster_with_equal_fsrs_rounds_the_seed_once(monkeypatch):
+    import cspdclink.cavity as cavity
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return resonance_indices(*args)
+
+    monkeypatch.setattr(cavity, "resonance_indices", counted)
+    args = (C_VACUUM / 606e-9, C_VACUUM / 435.5359e-9, HF_SIG, HF_SIG)
+    assert find_main_cluster(*args) == resonance_indices(*args)
+    assert len(calls) == 1
+
+
 def test_airy_lorentzian_sum_peak_and_neighbor_tail():
     cav = CavityParams(fsr=121.120e6, finesse=61.0)
     value = airy_lorentzian_sum(0.0, cav, -50, 50)

@@ -10,8 +10,15 @@ from cspdclink.cli import (
     EXIT_NUMERIC_ERROR,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    build_modes,
+    build_parser,
+    build_solve,
+    build_spectrum,
+    build_table,
     main,
 )
+from cspdclink.config import load_config
+from test_golden import GOLDEN, _config_texts
 
 HF_TEXT = """\
 [source]
@@ -271,10 +278,52 @@ def test_verify_line_contract(tmp_path, capsys, source, expected):
     else:
         cfg = tmp_path / "edited.ini"
         cfg.write_text(HF_TEXT.replace(*source))
-    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
-    *lines, verdict = capsys.readouterr().out.splitlines()
-    assert [re.match(r"\[(\w+)\] ([\w-]+): ", line).groups() for line in lines] == expected
-    assert verdict == "verification passed"
+    # --quiet keeps the records: they are the command's result
+    for quiet in ([], ["--quiet"]):
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path), *quiet]) == EXIT_OK
+        *lines, verdict = capsys.readouterr().out.splitlines()
+        assert [re.match(r"\[(\w+)\] ([\w-]+): ", line).groups() for line in lines] == expected
+        assert verdict == "verification passed"
+
+
+BUILDERS = {
+    "modes": (build_modes, []),
+    "table": (build_table, []),
+    "spectrum": (build_spectrum, ["--window", "2", "--points", "501", "--jsi-slice"]),
+    "solve": (build_solve, []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BUILDERS))
+def test_builder_writes_and_prints_nothing(tmp_path, monkeypatch, capsys, command):
+    # the golden run's config and arguments; main writes what the builder returns
+    build, extra = BUILDERS[command]
+    cfg = tmp_path / "targets.ini"
+    cfg.write_text(_config_texts()["targets"])
+    written = tmp_path / "written"
+    for fmt in ("csv", "json"):
+        assert main([command, "--config", str(cfg), "--out", str(written),
+                     "--format", fmt, "--quiet", *extra]) == EXIT_OK
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    capsys.readouterr()
+    artifacts, summary = build(load_config(str(cfg)),
+                               build_parser().parse_args([command, "--config", str(cfg), *extra]))
+    assert list(work.iterdir()) == []
+    assert capsys.readouterr() == ("", "")
+    assert "{paths}" in summary
+    files = {f"{artifact.stem}.{fmt}": artifact
+             for artifact in artifacts for fmt in artifact.formats}
+    assert sorted(files) == sorted(path.name for path in written.iterdir())
+    assert {f"targets/{name}" for name in files} <= set(GOLDEN)
+    for name, artifact in files.items():
+        path = written / name
+        if path.suffix == ".csv":
+            header = read_csv(path)[1]
+        else:
+            header = list(json.loads(path.read_text())["rows"][0])
+        assert [column for column, _ in artifact.columns] == header
 
 
 def test_solve_command(hf_config, tmp_path, capsys):
@@ -363,6 +412,10 @@ def test_quadrature_failure_exit_names_the_mode(hf_config, tmp_path, capsys,
     (("mu0_by_length = 0.010 0.054 0.075; 0.010 0.044 0.075; 0.010 0.038 0.075",
       "mu0 = nan"), "link.mu0"),
     (("modes_per_side = 50", "modes_per_side = 2000"), "source.modes_per_side"),
+    # above mu0 = 1 the fidelity is at most 1/2 at any loss
+    (("mu0_by_length = 0.010 0.054 0.075; 0.010 0.044 0.075; 0.010 0.038 0.075",
+      "mu0 = 1e300"), "link.mu0"),
+    (("0.010 0.038 0.075", "0.010 0.038 1.5"), "link.mu0_by_length"),
 ])
 def test_out_of_domain_config_exits_before_any_artifact(tmp_path, capsys,
                                                           mutation, field):

@@ -1,5 +1,6 @@
 """The runtime dependency list: what ``src/cspdclink`` imports is what
-``pyproject.toml`` declares, and importing the package pulls in no scipy."""
+``pyproject.toml`` declares, and importing the CLI loads nothing beyond numpy
+and the standard library."""
 
 import ast
 import os
@@ -40,13 +41,21 @@ def test_imports_match_declared_dependencies():
     assert third_party_imports() == declared_dependencies()
 
 
-def test_import_loads_no_scipy():
+def loaded_modules(code: str) -> set[str]:
+    """``sys.modules`` after running ``code`` in a fresh interpreter that
+    imports the package from ``src``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cspdclink; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))"],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-c", f"{code}; print(*sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_only_numpy_and_the_standard_library():
+    # every CLI call pays for its imports; the difference from a bare
+    # interpreter leaves out the site hooks that start-up loads on its own
+    added = loaded_modules("import sys, cspdclink.cli") - loaded_modules("import sys")
+    allowed = set(sys.stdlib_module_names) | {"numpy", "cspdclink"}
+    assert {name for name in added if name.split(".")[0] not in allowed} == set()
+    assert "cspdclink.cli" in added

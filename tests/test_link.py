@@ -217,6 +217,27 @@ def test_solver_rejects_unreachable_target():
         solve_mu0_for_fidelity(1.0, 25.0, 0.9)
 
 
+def test_solver_floor_holds_for_huge_mu_max():
+    # the floor F(mu_max) is computed in plain floats, so a huge mu_max
+    # neither overflows (RuntimeWarning is an error here) nor moves the root
+    assert solve_mu0_for_fidelity(0.9, 25.0, 0.9, mu_max=1e200) == \
+        solve_mu0_for_fidelity(0.9, 25.0, 0.9)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"mu_max": 0.0}, "mu_max=0.0"),
+    ({"mu_max": math.inf}, "mu_max=inf"),
+    ({"mu_max": math.nan}, "mu_max=nan"),
+    ({"eta_det": 0.0}, "eta_det=0.0"),
+    ({"eta_det": 1.5}, "eta_det=1.5"),
+    ({"l_el_km": 100000.0}, "eta_att=0.0"),
+])
+def test_solver_checks_its_inputs(kwargs, message):
+    args = {"f_target": 0.9, "l_el_km": 25.0, "eta_det": 0.9, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        solve_mu0_for_fidelity(**args)
+
+
 def test_solver_raises_instead_of_returning_an_unconverged_root(monkeypatch):
     import cspdclink.link as link
 
@@ -228,6 +249,11 @@ def test_solver_raises_instead_of_returning_an_unconverged_root(monkeypatch):
 def test_improvement_ratios_guard(hf_modes):
     report = evaluate_link(hf_modes, LinkParams(l_el_km=25.0, eta_det=0.9, mu0=0.0))
     with pytest.raises(ValueError, match="mu0 = 0"):
+        improvement_ratios(report)
+    # a positive mu0 whose loaded mean 1e-300 * 1e-30 * 0.9 underflows to 0
+    report = evaluate_link(hf_modes, LinkParams(l_el_km=3000.0, eta_det=0.9, mu0=1e-300))
+    assert report.p_single_center == 0.0
+    with pytest.raises(ValueError, match=r"at mu0 = 1e-300 rounds to 0"):
         improvement_ratios(report)
 
 
